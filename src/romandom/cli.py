@@ -22,7 +22,7 @@ from . import (brute_ext, brute_minimal_rdfs, enumerate_minimal_rdf_refined,
 from .extension import ExtensionInstance
 from .graph import Graph, GraphFormatError
 from .oracle import OracleCapExceeded
-from .rdf import minimality_report, po_minimality_report
+from .rdf import minimality_report
 from .stats import EnumStats
 
 
@@ -73,8 +73,10 @@ def _cmd_enumerate(args) -> int:
     collected: list[str] = []
 
     def sink(f):
+        if args.count_only:
+            return
         line = format_assignment(f)
-        if args.sorted or args.count_only:
+        if args.sorted:
             collected.append(line)
         else:
             print(line, flush=True)
@@ -129,8 +131,7 @@ def _cmd_check(args) -> int:
         f = parse_assignment(args.assignment, g.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report = minimality_report if args.order == "standard" else po_minimality_report
-    failed = report(g, f)
+    failed = minimality_report(g, f, order=args.order)
     label = "minimal" if args.order == "standard" else "PO-minimal"
     if not failed:
         print(f"{label}: all conditions pass")
@@ -140,48 +141,45 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def _cmd_gen(args) -> int:
-    family = args.family
-    params = args.params
+# Instance families shared by ``gen`` and ``bench``: name -> (generator,
+# parameter types).  ``random`` also takes the seed.
+GENERATORS = {
+    "cycle": (gen_cycle, (int,)),
+    "star": (gen_star, (int,)),
+    "null": (gen_null, (int,)),
+    "c5pow": (gen_c5_copies, (int,)),
+    "random": (gen_random, (int, float)),
+}
+
+
+def _build(family: str, params: list, seed: int = 0) -> Graph:
+    if family not in GENERATORS:
+        raise UsageError(f"unknown family {family!r}")
+    gen, types = GENERATORS[family]
+    if len(params) != len(types):
+        raise UsageError(f"{family} takes {len(types)} parameter(s), "
+                         f"got {len(params)}")
     try:
-        if family == "cycle":
-            (k,) = map(int, params)
-            g = gen_cycle(k)
-        elif family == "star":
-            (rays,) = map(int, params)
-            g = gen_star(rays)
-        elif family == "null":
-            (n,) = map(int, params)
-            g = gen_null(n)
-        elif family == "c5pow":
-            (c,) = map(int, params)
-            g = gen_c5_copies(c)
-        elif family == "random":
-            n, p = int(params[0]), float(params[1])
-            g = gen_random(n, p, args.seed)
-        else:
-            raise UsageError(f"unknown family {family!r}")
-    except (ValueError, IndexError) as exc:
+        values = [t(p) for t, p in zip(types, params)]
+        return gen(*values, seed) if gen is gen_random else gen(*values)
+    except ValueError as exc:
         raise UsageError(f"bad parameters for {family}: {exc}") from exc
+
+
+def _cmd_gen(args) -> int:
+    g = _build(args.family, args.params, args.seed)
     sys.stdout.write(to_edge_list(g))
     return 0
 
 
-def _bench_instances(spec: str):
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError("family spec must look like name:lo:hi, e.g. c5pow:1:3")
-    name, lo, hi = parts[0], int(parts[1]), int(parts[2])
-    builders = {
-        "c5pow": gen_c5_copies,
-        "cycle": gen_cycle,
-        "star": gen_star,
-        "null": gen_null,
-    }
-    if name not in builders:
-        raise UsageError(f"unknown bench family {name!r}")
-    for k in range(lo, hi + 1):
-        yield builders[name](k)
+def _bench_instances(spec: str) -> list[Graph]:
+    try:
+        name, lo, hi = spec.split(":")
+        ks = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise UsageError("family spec must look like name:lo:hi, "
+                         "e.g. c5pow:1:3") from None
+    return [_build(name, [k]) for k in ks]
 
 
 def _cmd_bench(args) -> int:
@@ -191,10 +189,11 @@ def _cmd_bench(args) -> int:
     for mode in modes:
         if mode not in ("simple", "refined", "oracle"):
             raise UsageError(f"unknown mode {mode!r}")
+    graphs = _bench_instances(args.family)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
                      "wall_ms"])
-    for g in _bench_instances(args.family):
+    for g in graphs:
         for mode in modes:
             stats = _run_enumeration(g, mode, args.order, False, lambda f: None)
             writer.writerow([g.n, mode, stats.solutions, stats.tree_nodes,
@@ -240,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="print a generated instance as an edge list")
-    p.add_argument("family", choices=["cycle", "star", "null", "c5pow",
-                                      "random"])
+    p.add_argument("family", choices=list(GENERATORS))
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)

@@ -13,8 +13,8 @@ import time
 from typing import Callable, Iterable
 
 from .extension import ExtensionInstance, gen_ext_po_rd
-from .graph import Graph, closed_neighborhood
-from .rdf import Assignment
+from .graph import Graph
+from .rdf import Assignment, rdf_from_counts, two_counts
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -27,18 +27,11 @@ def extend_from_v2(g: Graph, v2: Iterable[int]) -> Assignment | None:
     itself; then vertices outside N[v2] get 1 and the rest of N[v2] gets 0.
     """
     v2set = set(v2)
+    c = two_counts(g.adj, v2set)
     for v in v2set:
-        covered: set[int] = set()
-        for u in v2set:
-            if u != v:
-                covered.add(u)
-                covered |= g.adj[u]
-        if (({v} | set(g.adj[v])) - covered) <= {v}:
+        if not any(c[u] == 1 for u in g.adj[v]):
             return None
-    dominated = closed_neighborhood(g, v2set)
-    return tuple(
-        2 if v in v2set else (0 if v in dominated else 1) for v in range(g.n)
-    )
+    return rdf_from_counts(c, v2set)
 
 
 def enumerate_minimal_rdf_simple(g: Graph, sink: Sink) -> EnumStats:
@@ -68,13 +61,6 @@ def enumerate_minimal_rdf_simple(g: Graph, sink: Sink) -> EnumStats:
     return stats
 
 
-def _po_assignment(g: Graph, v2: set[int]) -> Assignment:
-    dominated = closed_neighborhood(g, v2)
-    return tuple(
-        2 if v in v2 else (0 if v in dominated else 1) for v in range(g.n)
-    )
-
-
 def enumerate_po_minimal_simple(g: Graph, sink: Sink) -> EnumStats:
     """Deliver every PO-minimal rdf once, with polynomial delay.
 
@@ -98,7 +84,7 @@ def enumerate_po_minimal_simple(g: Graph, sink: Sink) -> EnumStats:
         nonlocal gap
         stats.tree_nodes += 1
         if depth == n:
-            sink(_po_assignment(g, included))
+            sink(rdf_from_counts(two_counts(g.adj, included), included))
             stats.solutions += 1
             stats.max_gap = max(stats.max_gap, gap)
             gap = 0

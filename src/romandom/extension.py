@@ -3,17 +3,16 @@
 Given a graph and an assignment f, decide whether some minimal rdf lies
 above f, and produce one as a witness.  Variants: a forbidden set of
 vertices that must not end up with value 2, and the PO order.  All run
-in time cubic in the graph order.
+in O(n + m) time.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .graph import Graph
 from .grdf import Grdf, NOT_TWO
-from .rdf import Assignment
+from .rdf import Assignment, rdf_from_counts, two_counts
 
 
 @dataclass(frozen=True)
@@ -36,51 +35,38 @@ class ExtensionInstance:
 
 def _solve(g: Graph, f: Assignment, forbidden: frozenset[int],
            po: bool) -> Assignment | None:
-    n = g.n
+    adj = g.adj
     out = list(f)
-    m2 = {v for v in range(n) if f[v] == 2}
+    m2 = [v for v, x in enumerate(f) if x == 2]
 
     if po:
         # Under the PO order a 1-valued vertex can never be raised to 2, so
         # a 1-vertex next to a 2-vertex already rules out every witness:
         # keeping it at 1 violates the no-1-next-to-2 condition.
-        for v in m2:
-            if any(out[u] == 1 for u in g.adj[v]):
-                return None
+        if any(out[u] == 1 for v in m2 for u in adj[v]):
+            return None
     else:
-        # Saturate: a 1-vertex next to a 2-vertex must itself become 2.
-        heap = sorted(m2)
-        while heap:
-            v = heapq.heappop(heap)
-            for u in sorted(g.adj[v]):
+        # Saturate: a 1-vertex next to a 2-vertex must itself become 2.  The
+        # closure, and whether it reaches a forbidden vertex, do not depend
+        # on the visit order.
+        stack = list(m2)
+        while stack:
+            for u in adj[stack.pop()]:
                 if out[u] == 1:
                     if u in forbidden:
                         return None
                     out[u] = 2
-                    m2.add(u)
-                    heapq.heappush(heap, u)
+                    m2.append(u)
+                    stack.append(u)
 
     # Privacy: every 2-vertex must dominate something on its own.  The PO
     # variant tests the closed neighborhood (irredundance), the standard
     # variant the open one (a private neighbor other than the vertex itself).
-    for v in sorted(m2):
-        covered: set[int] = set()
-        for u in m2:
-            if u != v:
-                covered.add(u)
-                covered |= g.adj[u]
-        probe = (set(g.adj[v]) | {v}) if po else set(g.adj[v])
-        if probe <= covered:
-            return None
-
-    dominated: set[int] = set()
+    c = two_counts(adj, m2)
     for v in m2:
-        dominated.add(v)
-        dominated |= g.adj[v]
-    for v in range(n):
-        if v not in dominated:
-            out[v] = 1
-    return tuple(out)
+        if not (po and c[v] == 1) and not any(c[u] == 1 for u in adj[v]):
+            return None
+    return rdf_from_counts(c, m2)
 
 
 def ext_rd(g: Graph, f: Assignment) -> Assignment | None:

@@ -7,14 +7,11 @@ NOT_ONE ("will end up 0 or 2"), the promise NOT_TWO ("will end up 0 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NOT_ONE = 3
 NOT_TWO = 4
 ACTIVE = 5
-
-LABEL_NAMES = {0: "0", 1: "1", 2: "2", NOT_ONE: "not1", NOT_TWO: "not2",
-               ACTIVE: "active"}
 
 # Which final values each label still permits; used by consistent_with().
 _PERMITTED = {
@@ -47,12 +44,6 @@ class Grdf:
         if not self.is_complete():
             raise ValueError("grdf is not fully resolved to {0,1,2}")
         return tuple(self.labels)
-
-    def vertices_with(self, label: int) -> list[int]:
-        return [v for v, x in enumerate(self.labels) if x == label]
-
-    def copy(self) -> "Grdf":
-        return Grdf(list(self.labels))
 
 
 def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:

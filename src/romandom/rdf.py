@@ -67,49 +67,67 @@ def is_rdf(g: Graph, f: Assignment) -> bool:
     )
 
 
+def two_counts(adj: tuple[frozenset[int], ...],
+               v2: Iterable[int]) -> list[int]:
+    """``c[w] = |N[w] ∩ v2|`` for every vertex w; ``v2`` must not repeat ids.
+
+    Domination and privacy read off these counts: w is dominated iff
+    ``c[w] > 0``, and w is a private neighbor of its unique dominator iff
+    ``c[w] == 1``.  O(n + vol(v2)).
+    """
+    c = [0] * len(adj)
+    for v in v2:
+        c[v] += 1
+        for u in adj[v]:
+            c[u] += 1
+    return c
+
+
+def rdf_from_counts(c: list[int], v2: Iterable[int]) -> Assignment:
+    """The rdf with 2-set ``v2``: 0 on the rest of N[v2], 1 outside it.
+
+    ``c`` is ``two_counts(adj, v2)``.
+    """
+    out = [0 if x else 1 for x in c]
+    for v in v2:
+        out[v] = 2
+    return tuple(out)
+
+
 def private_neighbors(g: Graph, d: Iterable[int], v: int) -> set[int]:
     """N[v] minus N[D \\ {v}]: vertices dominated only by v within d."""
     dset = set(d)
     if v not in dset:
         raise ValueError(f"vertex {v} is not a member of the dominating set")
-    covered: set[int] = set()
-    for u in dset:
-        if u != v:
-            covered.add(u)
-            covered |= g.adj[u]
-    return ({v} | set(g.adj[v])) - covered
+    c = two_counts(g.adj, dset)
+    return {u for u in g.adj[v] | {v} if c[u] == 1}
 
 
-def _induced_private(adj: tuple[frozenset[int], ...], keep: set[int],
-                     v2: set[int], v: int) -> set[int]:
-    # Private neighborhood of v wrt v2 inside the subgraph induced by keep.
-    own = {v} | (adj[v] & keep)
-    covered: set[int] = set()
-    for u in v2:
-        if u != v:
-            covered.add(u)
-            covered |= adj[u] & keep
-    return own - covered
-
-
-def minimality_report(g: Graph, f: Assignment) -> list[str]:
+def minimality_report(g: Graph, f: Assignment,
+                      order: str = "standard") -> list[str]:
     """Failing conditions of the minimal-rdf characterization (empty = minimal).
 
-    A total f is a minimal rdf iff, with G' the subgraph induced by V0 u V2:
-    no 1-valued vertex touches N[V2]; every 2-vertex has a private neighbor
-    in G' other than itself; and V2 is a minimal dominating set of G'.
+    With G' the subgraph induced by V0 u V2, a total f is a minimal rdf
+    (``order="standard"``) iff no 1-valued vertex touches N[V2]; every
+    2-vertex has a private neighbor in G' other than itself; and V2 is a
+    minimal dominating set of G'.  PO-minimality (``order="po"``) drops
+    the privacy condition and keeps the other two.
     """
-    ls = level_sets(f)
+    if order not in ("standard", "po"):
+        raise ValueError(f"unknown order {order!r}")
+    v2 = [v for v, x in enumerate(f) if x == 2]
+    c = two_counts(g.adj, v2)
     failed: list[str] = []
-    if any(f[u] == 1 for v in ls.v2 for u in g.adj[v]):
+    if any(f[u] == 1 for v in v2 for u in g.adj[v]):
         failed.append(COND_NO_ONE_NEXT_TO_TWO)
-    keep = set(ls.v0) | set(ls.v2)
-    v2 = set(ls.v2)
-    privs = {v: _induced_private(g.adj, keep, v2, v) for v in v2}
-    if any(priv <= {v} for v, priv in privs.items()):
+    # A private neighbor in G' other than v: a 0-vertex next to v alone.
+    # (A 2-valued neighbor of v has count >= 2.)
+    open_private = [any(c[u] == 1 and f[u] == 0 for u in g.adj[v])
+                    for v in v2]
+    if order == "standard" and not all(open_private):
         failed.append(COND_PRIVACY)
-    dominated = all(g.adj[w] & v2 for w in ls.v0)
-    irredundant = all(privs[v] for v in v2)
+    dominated = all(c[w] for w, x in enumerate(f) if x == 0)
+    irredundant = all(p or c[v] == 1 for v, p in zip(v2, open_private))
     if not (dominated and irredundant):
         failed.append(COND_MINIMAL_DS)
     return failed
@@ -119,28 +137,8 @@ def is_minimal_rdf(g: Graph, f: Assignment) -> bool:
     return not minimality_report(g, f)
 
 
-def po_minimality_report(g: Graph, f: Assignment) -> list[str]:
-    """Failing conditions of the PO-minimal characterization (empty = minimal).
-
-    PO-minimality drops the privacy condition: f is PO-minimal iff no
-    1-valued vertex touches N[V2] and V2 is a minimal dominating set of
-    the subgraph induced by V0 u V2.
-    """
-    ls = level_sets(f)
-    failed: list[str] = []
-    if any(f[u] == 1 for v in ls.v2 for u in g.adj[v]):
-        failed.append(COND_NO_ONE_NEXT_TO_TWO)
-    keep = set(ls.v0) | set(ls.v2)
-    v2 = set(ls.v2)
-    dominated = all(g.adj[w] & v2 for w in ls.v0)
-    irredundant = all(_induced_private(g.adj, keep, v2, v) for v in v2)
-    if not (dominated and irredundant):
-        failed.append(COND_MINIMAL_DS)
-    return failed
-
-
 def is_po_minimal_rdf(g: Graph, f: Assignment) -> bool:
-    return not po_minimality_report(g, f)
+    return not minimality_report(g, f, order="po")
 
 
 def leq_standard(f: Assignment, h: Assignment) -> bool:

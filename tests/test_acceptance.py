@@ -10,7 +10,8 @@ import itertools
 import random
 import time
 
-from romandom import (ExtensionInstance, enumerate_minimal_rdf_refined,
+from romandom import (ExtensionInstance, Graph,
+                      enumerate_minimal_rdf_refined,
                       enumerate_minimal_rdf_simple,
                       enumerate_po_minimal_simple, ext_po_rd, ext_rd,
                       gen_c5_copies, gen_cycle, gen_ext_po_rd, gen_ext_rd,
@@ -233,3 +234,22 @@ def test_criterion_8_extension_scalability():
     ok &= all(r <= 10 for r in ratios)
     _report(8, "ext_rd wall-time ratio <= 10 per doubling of n", ok,
             "ratios " + ", ".join(f"{r:.2f}" for r in ratios))
+
+
+def test_extension_scaling_with_private_neighbors():
+    # Companion to criterion 8, whose all-zero input never reaches the
+    # privacy check: here every centre of n/3 disjoint P3s is a 2-vertex
+    # with two private leaves, so the input is already a minimal rdf.
+    for n in (1200, 2400, 4800):
+        g = Graph.from_edges(n, [(c, c + d) for c in range(1, n, 3)
+                                 for d in (-1, 1)])
+        f = tuple(2 if v % 3 == 1 else 0 for v in range(n))
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            witness = ext_rd(g, f)
+            best = min(best, time.perf_counter() - start)
+            assert witness == f
+        assert is_minimal_rdf(g, f)
+    # best is the n=4800 time
+    assert best < 0.05, f"ext_rd on n=4800 took {best * 1000:.1f} ms"

@@ -156,3 +156,5 @@ def test_bench_empty_modes(capsys):
 def test_bench_bad_family(capsys):
     assert main(["bench", "--family", "c5pow", "--modes", "simple"]) == 2
     assert main(["bench", "--family", "tree:1:2", "--modes", "simple"]) == 2
+    assert main(["bench", "--family", "c5pow:a:3", "--modes", "simple"]) == 2
+    assert main(["bench", "--family", "cycle:1:3", "--modes", "simple"]) == 2

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romandom import (gen_cycle, gen_null, gen_random, gen_star,
-                      is_minimal_rdf, is_po_minimal_rdf, is_rdf, leq_po,
-                      leq_standard, private_neighbors, weight)
+from romandom import (closed_neighborhood, gen_cycle, gen_null, gen_random,
+                      gen_star, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
+                      leq_po, leq_standard, private_neighbors, weight)
 from romandom.graph import Graph
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
                           COND_PRIVACY, level_sets, minimality_report,
-                          parse_assignment, po_minimality_report)
+                          parse_assignment)
 
 
 def test_weight_star_center_two():
@@ -67,7 +67,21 @@ def test_po_minimal_examples(p2, c5):
 def test_report_names(p2):
     assert minimality_report(p2, (2, 2)) == [COND_PRIVACY, COND_MINIMAL_DS]
     assert COND_NO_ONE_NEXT_TO_TWO in minimality_report(p2, (1, 2))
-    assert po_minimality_report(p2, (2, 2)) == [COND_MINIMAL_DS]
+    assert minimality_report(p2, (2, 2), order="po") == [COND_MINIMAL_DS]
+    # Privacy and irredundance are judged in G[V0 u V2]: a 1-vertex next
+    # to a 2-vertex is never its private neighbor.
+    assert minimality_report(p2, (2, 1)) == [COND_NO_ONE_NEXT_TO_TWO,
+                                             COND_PRIVACY]
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert minimality_report(p4, (1, 2, 2, 0)) == [
+        COND_NO_ONE_NEXT_TO_TWO, COND_PRIVACY, COND_MINIMAL_DS]
+    assert minimality_report(p4, (1, 2, 2, 0), order="po") == [
+        COND_NO_ONE_NEXT_TO_TWO, COND_MINIMAL_DS]
+
+
+def test_report_rejects_unknown_order(p2):
+    with pytest.raises(ValueError):
+        minimality_report(p2, (2, 0), order="pointwise")
 
 
 def test_leq_examples():
@@ -111,6 +125,11 @@ def _agreement(g: Graph):
     for f in itertools.product((0, 1, 2), repeat=g.n):
         assert is_minimal_rdf(g, f) == (f in std), f
         assert is_po_minimal_rdf(g, f) == (f in po), f
+        d = level_sets(f).v2
+        for v in d:
+            assert private_neighbors(g, d, v) == (
+                closed_neighborhood(g, {v}) - closed_neighborhood(g, d - {v})
+            ), (f, v)
     for f in std | po:
         assert is_rdf(g, f)
     for f in std:

@@ -4,6 +4,8 @@ Subcommands: ``enumerate`` (stream minimal rdfs), ``extend`` (extension
 query with witness), ``check`` (minimality report), ``gen`` (instance
 generators) and ``bench`` (CSV benchmark rows).  Exit codes: 0 for
 success / yes / minimal, 1 for no / not minimal, 2 for usage errors.
+When the reader closes stdout early (``romandom enumerate g.edges | head``)
+the command stops quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
-from . import (brute_ext, brute_minimal_rdfs, enumerate_minimal_rdf_refined,
+from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
                ext_po_rd, ext_rd, format_assignment, gen_c5_copies, gen_cycle,
                gen_ext_po_rd, gen_ext_rd, gen_null, gen_random, gen_star,
@@ -261,6 +264,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Send the rest of the buffered output, flushed at exit, nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

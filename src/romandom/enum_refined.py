@@ -5,8 +5,8 @@ alternating binary branching ("this vertex gets 2" / "it does not") with
 an exhaustive reduction pass, and prunes any branch whose state the
 extension solver proves dead.  This delivers every minimal rdf exactly
 once, with polynomial delay (at most 2n inner nodes between outputs) and
-polynomial space: edge deletions and label changes are undone on
-backtracking, and no solution is ever stored.
+polynomial space: label changes are undone on backtracking, and no
+solution is ever stored.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable
 
 from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
-from .grdf import (ACTIVE, DEFAULT_W1, DEFAULT_W2, NOT_ONE, NOT_TWO, Grdf,
-                   measure, violated_invariants)
+from .grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, measure,
+                   violated_invariants)
 from .rdf import Assignment
 from .stats import EnumStats
 
@@ -31,16 +31,16 @@ RULE_V2 = "V2"
 RULE_NPD = "NPD"
 RULE_NPN = "NPN"
 RULE_ISOLATE = "Isolate"
-RULE_EDGES = "Edges"
 
-# A trace step is (rule, vertex, old_label, new_label) for a relabeling or
-# (rule, (u, v), None, None) for a working-graph edge deletion.
-TraceStep = tuple[str, object, object, object]
+Adjacency = tuple[frozenset[int], ...]
+
+# A trace step is (rule, vertex, old_label, new_label).
+TraceStep = tuple[str, int, int, int]
 
 
 @dataclass
 class ReductionTrace:
-    """Replayable record of one reduction fixpoint computation."""
+    """Record of one reduction fixpoint computation, for undoing it."""
 
     steps: list[TraceStep] = field(default_factory=list)
 
@@ -48,26 +48,10 @@ class ReductionTrace:
         return len(self.steps)
 
 
-def replay(trace: ReductionTrace, adj: list[set[int]], grdf: Grdf) -> None:
-    """Re-apply a recorded trace to a pre-state (mutates both arguments)."""
-    for rule, target, _old, new in trace.steps:
-        if rule == RULE_EDGES:
-            u, v = target
-            adj[u].discard(v)
-            adj[v].discard(u)
-        else:
-            grdf.labels[target] = new
-
-
-def undo(trace: ReductionTrace, adj: list[set[int]], grdf: Grdf) -> None:
-    """Reverse a recorded trace (mutates both arguments)."""
-    for rule, target, old, _new in reversed(trace.steps):
-        if rule == RULE_EDGES:
-            u, v = target
-            adj[u].add(v)
-            adj[v].add(u)
-        else:
-            grdf.labels[target] = old
+def undo(trace: ReductionTrace, grdf: Grdf) -> None:
+    """Reverse a recorded trace (mutates the grdf)."""
+    for _rule, v, old, _new in reversed(trace.steps):
+        grdf.labels[v] = old
 
 
 def _relabel(trace: ReductionTrace, grdf: Grdf, rule: str, v: int,
@@ -76,7 +60,7 @@ def _relabel(trace: ReductionTrace, grdf: Grdf, rule: str, v: int,
     grdf.labels[v] = new
 
 
-def _apply_one_rule(adj: list[set[int]], grdf: Grdf,
+def _apply_one_rule(adj: Adjacency, grdf: Grdf,
                     trace: ReductionTrace) -> bool:
     """Apply the first applicable rule instance; True if anything changed."""
     labels = grdf.labels
@@ -167,26 +151,20 @@ def _apply_one_rule(adj: list[set[int]], grdf: Grdf,
                 _relabel(trace, grdf, RULE_ISOLATE, v, 0)
                 return True
 
-    # Edges between vertices that can never be 2 carry no domination and
-    # are dropped from the working graph.
-    for u in range(n):
-        if labels[u] not in (NOT_TWO, 0, 1):
-            continue
-        for v in sorted(adj[u]):
-            if v > u and labels[v] in (NOT_TWO, 0, 1):
-                trace.steps.append((RULE_EDGES, (u, v), None, None))
-                adj[u].discard(v)
-                adj[v].discard(u)
-                return True
+    # The paper's Edges rule (delete every edge between two vertices that
+    # can never be 2) is omitted, so the working graph is the input graph:
+    # every reader of a never-2 vertex's neighborhood filters it by label,
+    # and its never-2 neighbors fail every such filter alike, so deleting
+    # those edges would never change a decision.
     return False
 
 
-def apply_reductions(adj: list[set[int]], grdf: Grdf) -> ReductionTrace:
-    """Run the reduction rules to fixpoint (mutates both arguments).
+def apply_reductions(adj: Adjacency, grdf: Grdf) -> ReductionTrace:
+    """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
 
     Rules are scanned in a fixed order and the scan restarts from the top
-    after every application.  Returns the trace needed to undo or replay
-    the changes.
+    after every application.  Returns the trace needed to undo the
+    relabelings.
     """
     trace = ReductionTrace()
     while _apply_one_rule(adj, grdf, trace):
@@ -194,7 +172,7 @@ def apply_reductions(adj: list[set[int]], grdf: Grdf) -> ReductionTrace:
     return trace
 
 
-def pick_branch_vertex(adj: list[set[int]], grdf: Grdf) -> tuple[int, int] | None:
+def pick_branch_vertex(adj: Adjacency, grdf: Grdf) -> tuple[int, int] | None:
     """Branch vertex and its priority class (1..3); None at a leaf.
 
     Priorities, in decreasing order: an active vertex with at least two
@@ -247,8 +225,7 @@ def branch_deny_two(grdf: Grdf, v: int) -> None:
         raise ValueError(f"vertex {v} is not branchable")
 
 
-def check_phase_properties(adj: list[set[int]], grdf: Grdf,
-                           phase: int) -> bool:
+def check_phase_properties(adj: Adjacency, grdf: Grdf, phase: int) -> bool:
     """State conditions that must hold once the given phase is complete.
 
     Phase 0 stands for "reductions are at fixpoint" and checks the edge
@@ -257,11 +234,8 @@ def check_phase_properties(adj: list[set[int]], grdf: Grdf,
     labels = grdf.labels
     n = len(labels)
     if phase == 0:
-        never_two = (NOT_TWO, 0, 1)
         for u in range(n):
             for v in adj[u]:
-                if labels[u] in never_two and labels[v] in never_two:
-                    return False
                 if labels[u] == 2 and labels[v] in (NOT_TWO, ACTIVE):
                     return False
                 if labels[u] == 1 and labels[v] in (NOT_ONE, ACTIVE):
@@ -286,9 +260,11 @@ def check_phase_properties(adj: list[set[int]], grdf: Grdf,
             return False
         for v in range(n):
             if labels[v] == NOT_TWO:
-                if not adj[v]:
+                may_be_two = [u for u in adj[v]
+                              if labels[u] not in (NOT_TWO, 0, 1)]
+                if not may_be_two:
                     return False
-                if any(labels[u] != NOT_ONE for u in adj[v]):
+                if any(labels[u] != NOT_ONE for u in may_be_two):
                     return False
         return True
     if phase == 3:
@@ -301,23 +277,14 @@ class RefinedEnumerator:
 
     ``assert_invariants`` turns on the state-invariant, phase-property and
     measure-monotonicity assertions at every fixpoint (slow; for tests).
-    ``reduction_observer``, if given, is called as
-    ``observer(pre_labels, post_labels)`` around every reduction fixpoint
-    computation with copies of the label array.
     """
 
     def __init__(self, g: Graph, sink: Sink, *,
-                 assert_invariants: bool = False,
-                 reduction_observer: Callable | None = None,
-                 w1: float = DEFAULT_W1, w2: float = DEFAULT_W2):
+                 assert_invariants: bool = False):
         g.validate()
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
-        self.reduction_observer = reduction_observer
-        self.w1 = w1
-        self.w2 = w2
-        self.adj: list[set[int]] = [set(s) for s in g.adj]
         self.grdf = Grdf.all_active(g.n)
         self.stats = EnumStats()
         self._gap = 0
@@ -332,10 +299,10 @@ class RefinedEnumerator:
         else:
             self._node(parent_measure=None, last_priority=0)
             self.stats.max_gap = max(self.stats.max_gap, self._gap)
-            if self.graph.n > 0:
-                self.stats.max_measure_ratio = (
-                    self.stats.tree_nodes / (1.9332 ** self.graph.n)
-                )
+            # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
+            # only underflows towards 0.0.
+            self.stats.tree_ratio = (self.stats.tree_nodes
+                                     * 1.9332 ** -self.graph.n)
         self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return self.stats
 
@@ -346,12 +313,14 @@ class RefinedEnumerator:
         self._gap = 0
 
     def _node(self, parent_measure: float | None, last_priority: int) -> None:
+        """Visit one search node (``parent_measure`` only when asserting)."""
         self.stats.tree_nodes += 1
         if self.grdf.is_complete():
             self._emit()
             return
         self._gap += 1
-        picked = pick_branch_vertex(self.adj, self.grdf)
+        adj = self.graph.adj
+        picked = pick_branch_vertex(adj, self.grdf)
         if picked is None:
             raise AssertionError("incomplete state with no branch vertex")
         v, priority = picked
@@ -362,7 +331,7 @@ class RefinedEnumerator:
             )
             if self.assert_invariants:
                 for done in range(max(last_priority, 1), priority):
-                    assert check_phase_properties(self.adj, self.grdf, done), (
+                    assert check_phase_properties(adj, self.grdf, done), (
                         f"phase {done} properties violated"
                     )
         for deny in (False, True):
@@ -371,30 +340,25 @@ class RefinedEnumerator:
                 branch_deny_two(self.grdf, v)
             else:
                 branch_set_two(self.grdf, v)
-            pre = list(self.grdf.labels) if self.reduction_observer else None
-            trace = apply_reductions(self.adj, self.grdf)
-            if self.reduction_observer:
-                self.reduction_observer(pre, list(self.grdf.labels))
+            trace = apply_reductions(adj, self.grdf)
+            child_measure = None
             if self.assert_invariants:
-                bad = violated_invariants(self.adj, self.grdf.labels)
+                bad = violated_invariants(adj, self.grdf.labels)
                 assert not bad, f"invariants {bad} violated after reductions"
-                assert check_phase_properties(self.adj, self.grdf, 0), (
+                assert check_phase_properties(adj, self.grdf, 0), (
                     "fixpoint edge conditions violated"
                 )
-                child_measure = measure(self.grdf, self.w1, self.w2)
+                child_measure = measure(self.grdf)
                 assert parent_measure is None or child_measure < parent_measure
             if gen_ext_rd(project_grdf(self.graph, self.grdf)) is not None:
-                self._node(measure(self.grdf, self.w1, self.w2), priority)
-            undo(trace, self.adj, self.grdf)
+                self._node(child_measure, priority)
+            undo(trace, self.grdf)
             self.grdf.labels[v] = old
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,
-                                  assert_invariants: bool = False,
-                                  reduction_observer: Callable | None = None
+                                  assert_invariants: bool = False
                                   ) -> EnumStats:
     """Deliver every minimal rdf of ``g`` exactly once; see module docs."""
-    return RefinedEnumerator(
-        g, sink, assert_invariants=assert_invariants,
-        reduction_observer=reduction_observer,
-    ).run()
+    return RefinedEnumerator(g, sink,
+                             assert_invariants=assert_invariants).run()

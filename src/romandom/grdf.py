@@ -23,8 +23,9 @@ _PERMITTED = {
     ACTIVE: (0, 1, 2),
 }
 
-DEFAULT_W1 = 2.0 / 3.0
-DEFAULT_W2 = 0.38488
+# The paper's measure weights for not-1 and not-2 vertices.
+W1 = 2.0 / 3.0
+W2 = 0.38488
 
 
 @dataclass
@@ -51,25 +52,24 @@ def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:
     return all(a in _PERMITTED[x] for a, x in zip(assignment, labels))
 
 
-def measure(grdf: Grdf, w1: float = DEFAULT_W1, w2: float = DEFAULT_W2) -> float:
-    """Search-progress potential: |active| + w1*|not-1| + w2*|not-2|.
+def measure(grdf: Grdf) -> float:
+    """Search-progress potential: |active| + W1*|not-1| + W2*|not-2|.
 
     At most n for the all-active start, exactly 0 at a fully resolved leaf.
     """
-    if not (0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0):
-        raise ValueError("weights must lie in [0, 1]")
     total = 0.0
     for x in grdf.labels:
         if x == ACTIVE:
             total += 1.0
         elif x == NOT_ONE:
-            total += w1
+            total += W1
         elif x == NOT_TWO:
-            total += w2
+            total += W2
     return total
 
 
-def violated_invariants(adj: list[set[int]], labels: list[int]) -> list[str]:
+def violated_invariants(adj: tuple[frozenset[int], ...],
+                        labels: list[int]) -> list[str]:
     """Which of the four state invariants fail (empty list = all hold).
 
     I1: every 0- or not-1-labeled vertex has a 2-labeled neighbor.

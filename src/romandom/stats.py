@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -14,7 +14,8 @@ class EnumStats:
     the last).  Only the enumerators that claim polynomial delay track it
     (refined, and the PO include/exclude search); the plain subset sweep
     reports its candidate-subset gap for information only and makes no
-    delay promise.
+    delay promise.  ``tree_ratio`` is tree_nodes / 1.9332^n, the refined
+    search tree measured against the paper's bound (refined mode only).
     """
 
     solutions: int = 0
@@ -22,12 +23,7 @@ class EnumStats:
     max_gap: int = 0
     wall_ms: int = 0
     phase_transitions: dict[str, int] = field(default_factory=dict)
-    max_measure_ratio: float = 0.0
+    tree_ratio: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "solutions": self.solutions,
-            "tree_nodes": self.tree_nodes,
-            "max_gap": self.max_gap,
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from romandom import gen_cycle, to_edge_list
+import romandom
+from romandom import gen_c5_copies, gen_cycle, to_edge_list
 from romandom.cli import main
 
 
@@ -68,7 +73,29 @@ def test_enumerate_stats_json(c5_file, capsys):
     captured = capsys.readouterr()
     stats = json.loads(captured.err)
     assert stats["solutions"] == 16
-    assert set(stats) == {"solutions", "tree_nodes", "max_gap", "wall_ms"}
+    assert set(stats) == {"solutions", "tree_nodes", "max_gap", "wall_ms",
+                          "phase_transitions", "tree_ratio"}
+    assert sum(stats["phase_transitions"].values()) > 0
+    assert stats["tree_ratio"] == pytest.approx(
+        stats["tree_nodes"] / 1.9332 ** 5)
+
+
+def test_enumerate_closed_stdout_exits_quietly(tmp_path):
+    # 16^4 lines overflow the pipe buffer, so the writer must see the close
+    path = tmp_path / "c5pow4.edges"
+    path.write_text(to_edge_list(gen_c5_copies(4)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(romandom.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "romandom.cli", "enumerate", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert len(first.strip()) == 20
+    assert b"Traceback" not in err and b"Error" not in err, err
 
 
 def test_enumerate_missing_file(capsys):

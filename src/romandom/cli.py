@@ -3,9 +3,10 @@
 Subcommands: ``enumerate`` (stream minimal rdfs), ``extend`` (extension
 query with witness), ``check`` (minimality report), ``gen`` (instance
 generators) and ``bench`` (CSV benchmark rows).  Exit codes: 0 for
-success / yes / minimal, 1 for no / not minimal, 2 for usage errors.
-When the reader closes stdout early (``romandom enumerate g.edges | head``)
-the command stops quietly with exit code 0.
+success / yes / minimal, 1 for no / not minimal, 2 for usage errors,
+130 when interrupted (Ctrl-C prints ``interrupted`` on stderr, with no
+traceback).  When the reader closes stdout early (``romandom enumerate
+g.edges | head``) the command stops quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -7,6 +7,16 @@ extension solver proves dead.  This delivers every minimal rdf exactly
 once, with polynomial delay (at most 2n inner nodes between outputs) and
 polynomial space: label changes are undone on backtracking, and no
 solution is ever stored.
+
+The reduction pass applies, at each step, the first rule in a fixed order
+at the lowest vertex where it applies.  The fixpoint depends on that
+order: on P2 labelled (2, active), LPN first gives (2, 0) while V2 first
+gives (2, not-1).  So the pass keeps this scan order, and gets its speed
+from a worklist that re-tests only the vertices near a change.  The
+extension test is local too: the search keeps the closed 2-neighbor
+counts, and only 2-vertices near a new 2 can lose a private neighbor.
+:func:`extension.gen_ext_rd` stays the reference, checked against it
+under ``assert_invariants``.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
 from .grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, measure,
                    violated_invariants)
-from .rdf import Assignment
+from .rdf import Assignment, two_counts
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -54,121 +64,204 @@ def undo(trace: ReductionTrace, grdf: Grdf) -> None:
         grdf.labels[v] = old
 
 
-def _relabel(trace: ReductionTrace, grdf: Grdf, rule: str, v: int,
-             new: int) -> None:
-    trace.steps.append((rule, v, grdf.labels[v], new))
-    grdf.labels[v] = new
+# The rules in the order they are tried.  Each applies only at a vertex
+# with one particular label (LPN and V2 at 2-vertices).
+_RULES = (RULE_LPN, RULE_V0, RULE_V1, RULE_V2, RULE_NPD, RULE_NPN,
+          RULE_ISOLATE)
+_LPN, _V0, _V1, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
+# Rules that read only the closed neighborhood N[v], by the label of v.
+# V0 also reads distance-2 labels and counts and is pended separately;
+# Isolate is pended only once no vertex is active.
+_NEAR_RULES = {0: (), 1: (_V1,), 2: (_LPN, _V2), NOT_ONE: (),
+               NOT_TWO: (_NPD,), ACTIVE: (_NPN,)}
 
 
-def _apply_one_rule(adj: Adjacency, grdf: Grdf,
-                    trace: ReductionTrace) -> bool:
-    """Apply the first applicable rule instance; True if anything changed."""
-    labels = grdf.labels
-    n = len(labels)
-
+def _lpn(adj, labels, counts, v):
     # Last potential private neighbor: a 2-vertex with a single remaining
     # candidate (active or not-2) must claim it as its 0-valued private
     # neighbor.
-    for v in range(n):
-        if labels[v] != 2:
-            continue
-        cand = [u for u in adj[v] if labels[u] in (ACTIVE, NOT_TWO)]
-        if len(cand) == 1:
-            _relabel(trace, grdf, RULE_LPN, cand[0], 0)
-            return True
+    if labels[v] != 2:
+        return ()
+    cand = [u for u in adj[v] if labels[u] in (ACTIVE, NOT_TWO)]
+    return ((cand[0], 0),) if len(cand) == 1 else ()
 
+
+def _v0(adj, labels, counts, v):
     # A 0-vertex with a unique 2-neighbor u is u's only possible private
     # neighbor (provided u's other undecided neighbors are all dominated
     # twice); no other neighbor of the 0-vertex may take the value 2.
-    for v in range(n):
-        if labels[v] != 0:
-            continue
-        twos = [u for u in adj[v] if labels[u] == 2]
-        if len(twos) != 1:
-            continue
-        u = twos[0]
-        side_ok = all(
-            sum(1 for y in adj[x] if labels[y] == 2) >= 2
-            for x in adj[u]
-            if x != v and labels[x] in (0, NOT_ONE, NOT_TWO)
-        )
-        if not side_ok:
-            continue
-        targets = [w for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_ONE)]
-        if targets:
-            for w in targets:
-                _relabel(trace, grdf, RULE_V0, w,
-                         NOT_TWO if labels[w] == ACTIVE else 0)
-            return True
+    # A vertex that is not 2 has as many 2-neighbors as its count says.
+    if labels[v] != 0 or counts[v] != 1:
+        return ()
+    changes = _bar_two_around(adj, labels, v)
+    if not changes:
+        return ()
+    for u in adj[v]:
+        if labels[u] == 2:
+            break
+    if any(counts[x] < 2 for x in adj[u]
+           if x != v and labels[x] in (0, NOT_ONE, NOT_TWO)):
+        return ()
+    return changes
 
+
+def _v1(adj, labels, counts, v):
     # Neighbors of a 1-vertex can never be 2.
-    for v in range(n):
-        if labels[v] != 1:
-            continue
-        targets = [w for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_ONE)]
-        if targets:
-            for w in targets:
-                _relabel(trace, grdf, RULE_V1, w,
-                         NOT_TWO if labels[w] == ACTIVE else 0)
-            return True
+    return _bar_two_around(adj, labels, v) if labels[v] == 1 else ()
 
+
+def _bar_two_around(adj, labels, v):
+    # The relabels that bar every undecided neighbor of v from value 2.
+    return tuple((w, NOT_TWO if labels[w] == ACTIVE else 0)
+                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_ONE))
+
+
+def _v2(adj, labels, counts, v):
     # Neighbors of a 2-vertex can never be 1.
-    for v in range(n):
-        if labels[v] != 2:
-            continue
-        targets = [w for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_TWO)]
-        if targets:
-            for w in targets:
-                _relabel(trace, grdf, RULE_V2, w,
-                         NOT_ONE if labels[w] == ACTIVE else 0)
-            return True
+    if labels[v] != 2:
+        return ()
+    return tuple((w, NOT_ONE if labels[w] == ACTIVE else 0)
+                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_TWO))
 
+
+def _npd(adj, labels, counts, v):
     # No potential domination: a not-2 vertex whose neighbors can never
     # take the value 2 cannot become 0, so it must be 1.
-    for v in range(n):
-        if labels[v] == NOT_TWO and all(
-            labels[u] in (NOT_TWO, 0, 1) for u in adj[v]
-        ):
-            _relabel(trace, grdf, RULE_NPD, v, 1)
-            return True
+    if labels[v] == NOT_TWO and all(labels[u] in (NOT_TWO, 0, 1)
+                                    for u in adj[v]):
+        return ((v, 1),)
+    return ()
 
+
+def _npn(adj, labels, counts, v):
     # No private neighbor: an active vertex whose whole neighborhood is
     # already dominated cannot usefully take the value 2.
-    for v in range(n):
-        if labels[v] == ACTIVE and all(
-            labels[u] in (0, NOT_ONE) for u in adj[v]
-        ):
-            _relabel(trace, grdf, RULE_NPN, v, NOT_TWO)
-            return True
-
-    # Once nothing is active, a not-1 vertex with no not-2 neighbor has
-    # nothing left to dominate, so it cannot be 2.
-    if not any(x == ACTIVE for x in labels):
-        for v in range(n):
-            if labels[v] == NOT_ONE and not any(
-                labels[u] == NOT_TWO for u in adj[v]
-            ):
-                _relabel(trace, grdf, RULE_ISOLATE, v, 0)
-                return True
-
-    # The paper's Edges rule (delete every edge between two vertices that
-    # can never be 2) is omitted, so the working graph is the input graph:
-    # every reader of a never-2 vertex's neighborhood filters it by label,
-    # and its never-2 neighbors fail every such filter alike, so deleting
-    # those edges would never change a decision.
-    return False
+    if labels[v] == ACTIVE and all(labels[u] in (0, NOT_ONE) for u in adj[v]):
+        return ((v, NOT_TWO),)
+    return ()
 
 
-def apply_reductions(adj: Adjacency, grdf: Grdf) -> ReductionTrace:
+def _isolate(adj, labels, counts, v):
+    # Once nothing is active (the engine pends this rule only then), a
+    # not-1 vertex with no not-2 neighbor has nothing left to dominate, so
+    # it cannot be 2.
+    if labels[v] == NOT_ONE and not any(labels[u] == NOT_TWO for u in adj[v]):
+        return ((v, 0),)
+    return ()
+
+
+_TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
+
+# The paper's Edges rule (delete every edge between two vertices that can
+# never be 2) is omitted, so the working graph is the input graph: every
+# reader of a never-2 vertex's neighborhood filters it by label, and its
+# never-2 neighbors fail every such filter alike, so deleting those edges
+# would never change a decision.
+
+
+def apply_reductions(adj: Adjacency, grdf: Grdf,
+                     counts: list[int] | None = None,
+                     branch: int | None = None) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
 
-    Rules are scanned in a fixed order and the scan restarts from the top
-    after every application.  Returns the trace needed to undo the
-    relabelings.
+    Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
+    NPN, Isolate, at the lowest vertex where it applies.  The fixpoint
+    depends on that order: on P2 labelled (2, active), LPN first gives
+    (2, 0) while V2 first gives (2, not-1), so any other order would
+    change the search tree.  A worklist replays this order without
+    rescanning: each rule keeps a set of pending vertices, a superset of
+    those where it applies, and each step takes the first rule's lowest
+    pending vertex, dropping it if the rule does not apply.  A relabel
+    pends only the rule instances that read the changed label.
+
+    ``counts`` holds the closed 2-neighbor counts of ``rdf.two_counts``;
+    no rule creates a 2, so they stay fixed here.  With ``branch`` given,
+    the grdf must be a fixpoint except at that vertex, just relabelled by
+    a branch (which also updated ``counts`` if it set a 2); only the
+    vertices that read it are pended.  Otherwise every vertex is pended
+    and the counts are computed if not given.  Returns the trace needed
+    to undo the relabelings.
     """
+    labels = grdf.labels
+    n = len(labels)
+    if counts is None:
+        counts = two_counts(adj, [v for v in range(n) if labels[v] == 2])
     trace = ReductionTrace()
-    while _apply_one_rule(adj, grdf, trace):
-        pass
+    steps = trace.steps
+    # Pending vertices of each rule, as bit sets: bit v stands for v.
+    pending = [0] * len(_RULES)
+    actives = labels.count(ACTIVE)
+
+    def pend_v0(v: int) -> None:
+        # Only a 0-vertex with one 2-neighbor can ever meet V0's test.
+        if labels[v] == 0 and counts[v] == 1:
+            pending[_V0] |= 1 << v
+
+    def pend_not_one() -> None:
+        for v in range(n):
+            if labels[v] == NOT_ONE:
+                pending[_ISOLATE] |= 1 << v
+
+    def touch(w: int) -> None:
+        """Pend every rule instance that reads the label of w."""
+        for x in (w, *adj[w]):
+            label = labels[x]
+            for rule in _NEAR_RULES[label]:
+                pending[rule] |= 1 << x
+            if label == 0:
+                pend_v0(x)
+            elif label == 2:
+                # V0 at v reads the labels of N(u), u being v's 2-neighbor.
+                for v in adj[x]:
+                    pend_v0(v)
+            elif label == NOT_ONE and actives == 0:
+                pending[_ISOLATE] |= 1 << x
+
+    if actives == 0:
+        # Isolate applies only once nothing is active, and the branch may
+        # just have relabelled the last active vertex.
+        pend_not_one()
+    if branch is None:
+        for v in range(n):
+            for rule in _NEAR_RULES[labels[v]]:
+                pending[rule] |= 1 << v
+            pend_v0(v)
+    else:
+        touch(branch)
+        if labels[branch] == 2:
+            # The counts went up by one on N[branch].  Besides its own count
+            # (pended by touch), V0 at v reads whether each x in N(u), u
+            # being v's 2-neighbor, has a count of at least 2: newly true
+            # where it is now 2.
+            for x in adj[branch]:
+                if counts[x] == 2:
+                    for u in adj[x]:
+                        if labels[u] == 2:
+                            for v in adj[u]:
+                                pend_v0(v)
+
+    rule, n_rules = 0, len(_RULES)
+    while rule < n_rules:
+        todo = pending[rule]
+        if not todo:
+            rule += 1
+            continue
+        lowest = todo & -todo
+        pending[rule] = todo ^ lowest
+        changes = _TESTS[rule](adj, labels, counts, lowest.bit_length() - 1)
+        if not changes:
+            continue
+        name = _RULES[rule]
+        for w, new in changes:
+            old = labels[w]
+            steps.append((name, w, old, new))
+            labels[w] = new
+            if old == ACTIVE:
+                actives -= 1
+                if actives == 0:
+                    pend_not_one()
+            touch(w)
+        rule = 0
     return trace
 
 
@@ -288,6 +381,9 @@ class RefinedEnumerator:
         self.grdf = Grdf.all_active(g.n)
         self.stats = EnumStats()
         self._gap = 0
+        # Closed 2-neighbor counts (see rdf.two_counts), kept in step with
+        # the 2-labels: only a set branch creates a 2.
+        self.counts = [0] * g.n
 
     def run(self) -> EnumStats:
         start = time.perf_counter()
@@ -334,26 +430,63 @@ class RefinedEnumerator:
                     assert check_phase_properties(adj, self.grdf, done), (
                         f"phase {done} properties violated"
                     )
+        labels = self.grdf.labels
+        counts = self.counts
+        fires = self.stats.rule_fires
+        # The all-active root is no fixpoint if some vertex is isolated, so
+        # its children pend every vertex.
+        seed = v if last_priority else None
         for deny in (False, True):
-            old = self.grdf.labels[v]
+            old = labels[v]
             if deny:
                 branch_deny_two(self.grdf, v)
             else:
                 branch_set_two(self.grdf, v)
-            trace = apply_reductions(adj, self.grdf)
+                for u in (v, *adj[v]):
+                    counts[u] += 1
+            trace = apply_reductions(adj, self.grdf, counts, seed)
+            for step in trace.steps:
+                fires[step[0]] = fires.get(step[0], 0) + 1
+            # A deny keeps the 2-set and the counts of the parent, which
+            # passed the test; by I2 no 1 is next to a 2 at a fixpoint, so
+            # the solver's saturation step changes nothing either.
+            alive = deny or self._private_near(v)
             child_measure = None
             if self.assert_invariants:
-                bad = violated_invariants(adj, self.grdf.labels)
+                bad = violated_invariants(adj, labels)
                 assert not bad, f"invariants {bad} violated after reductions"
                 assert check_phase_properties(adj, self.grdf, 0), (
                     "fixpoint edge conditions violated"
                 )
                 child_measure = measure(self.grdf)
                 assert parent_measure is None or child_measure < parent_measure
-            if gen_ext_rd(project_grdf(self.graph, self.grdf)) is not None:
+                assert alive == (
+                    gen_ext_rd(project_grdf(self.graph, self.grdf)) is not None
+                ), "local extension test disagrees with the solver"
+            if alive:
                 self._node(child_measure, priority)
+            else:
+                self.stats.prunes += 1
             undo(trace, self.grdf)
-            self.grdf.labels[v] = old
+            labels[v] = old
+            if not deny:
+                for u in (v, *adj[v]):
+                    counts[u] -= 1
+
+    def _private_near(self, b: int) -> bool:
+        """The extension test after setting b to 2, from the parent's pass.
+
+        Only 2-vertices within distance 2 of b can have lost their last
+        private neighbor (a neighbor with count 1), and b needs one too.
+        """
+        adj = self.graph.adj
+        labels = self.grdf.labels
+        counts = self.counts
+        for x in (b, *adj[b]):
+            for v in (x, *adj[x]):
+                if labels[v] == 2 and not any(counts[u] == 1 for u in adj[v]):
+                    return False
+        return True
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,

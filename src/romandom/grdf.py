@@ -39,7 +39,7 @@ class Grdf:
         return cls([ACTIVE] * n)
 
     def is_complete(self) -> bool:
-        return all(x <= 2 for x in self.labels)
+        return max(self.labels, default=0) <= 2
 
     def assignment(self) -> tuple[int, ...]:
         if not self.is_complete():

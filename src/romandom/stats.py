@@ -16,6 +16,8 @@ class EnumStats:
     reports its candidate-subset gap for information only and makes no
     delay promise.  ``tree_ratio`` is tree_nodes / 1.9332^n, the refined
     search tree measured against the paper's bound (refined mode only).
+    ``rule_fires`` counts the relabellings made by each reduction rule and
+    ``prunes`` the children cut by the extension test (refined mode only).
     """
 
     solutions: int = 0
@@ -24,6 +26,8 @@ class EnumStats:
     wall_ms: int = 0
     phase_transitions: dict[str, int] = field(default_factory=dict)
     tree_ratio: float = 0.0
+    rule_fires: dict[str, int] = field(default_factory=dict)
+    prunes: int = 0
 
     def to_json(self) -> dict:
         return asdict(self)

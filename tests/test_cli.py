@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -74,28 +75,45 @@ def test_enumerate_stats_json(c5_file, capsys):
     stats = json.loads(captured.err)
     assert stats["solutions"] == 16
     assert set(stats) == {"solutions", "tree_nodes", "max_gap", "wall_ms",
-                          "phase_transitions", "tree_ratio"}
+                          "phase_transitions", "tree_ratio", "rule_fires",
+                          "prunes"}
+    assert sum(stats["rule_fires"].values()) > 0
     assert sum(stats["phase_transitions"].values()) > 0
     assert stats["tree_ratio"] == pytest.approx(
         stats["tree_nodes"] / 1.9332 ** 5)
 
 
-def test_enumerate_closed_stdout_exits_quietly(tmp_path):
-    # 16^4 lines overflow the pipe buffer, so the writer must see the close
+def _start_enumerate_c5pow4(tmp_path):
+    # 16^4 lines overflow the pipe buffer, so the run outlasts the reader
     path = tmp_path / "c5pow4.edges"
     path.write_text(to_edge_list(gen_c5_copies(4)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(romandom.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "romandom.cli", "enumerate", str(path)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def test_enumerate_closed_stdout_exits_quietly(tmp_path):
+    proc = _start_enumerate_c5pow4(tmp_path)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0
     assert len(first.strip()) == 20
     assert b"Traceback" not in err and b"Error" not in err, err
+
+
+def test_enumerate_interrupt_exits_130(tmp_path):
+    proc = _start_enumerate_c5pow4(tmp_path)
+    first = proc.stdout.readline()
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130
+    assert len(first.strip()) == 20
+    assert b"Traceback" not in err, err
+    assert err.strip().endswith(b"interrupted"), err
 
 
 def test_enumerate_missing_file(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from romandom import (Graph, enumerate_minimal_rdf_refined, gen_c5_copies,
                       gen_cycle, gen_null, gen_random, is_minimal_rdf)
 import romandom.enum_refined as enum_refined
-from romandom.enum_refined import (RULE_LPN, RULE_NPD, RULE_V2,
+from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
+                                   RULE_V0, RULE_V2,
                                    apply_reductions, branch_deny_two,
                                    branch_set_two,
                                    check_phase_properties, pick_branch_vertex,
@@ -13,6 +15,7 @@ from romandom.enum_refined import (RULE_LPN, RULE_NPD, RULE_V2,
 from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, consistent_with,
                            measure, violated_invariants)
 from romandom.oracle import brute_minimal_rdfs
+from romandom.rdf import two_counts
 
 
 def _adj(g: Graph) -> list[set[int]]:
@@ -186,9 +189,9 @@ def test_reduction_soundness_against_oracle(monkeypatch):
     # a reduction pass must not change which minimal rdfs remain reachable
     records = []
 
-    def recording(adj, grdf):
+    def recording(adj, grdf, *args, **kwargs):
         pre = list(grdf.labels)
-        trace = apply_reductions(adj, grdf)
+        trace = apply_reductions(adj, grdf, *args, **kwargs)
         records.append((pre, list(grdf.labels)))
         return trace
 
@@ -215,6 +218,61 @@ def test_refined_tree_shape_golden(g, expected):
     # pins the search tree: reductions, branch choice and pruning
     stats = enumerate_minimal_rdf_refined(g, lambda f: None)
     assert (stats.solutions, stats.tree_nodes, stats.max_gap) == expected
+
+
+@pytest.mark.parametrize("g, count, digest", [
+    (gen_c5_copies(3), 10963, "ca429803eaed8cf8"),
+    (gen_cycle(14), 4631, "fcf1eef933817671"),
+    (gen_random(12, 0.2, 7), 833, "23cb5d4803a5c3b1"),
+], ids=["c5pow3", "cycle14", "random12"])
+def test_reduction_steps_golden(monkeypatch, g, count, digest):
+    # pins every relabel step of a run, in order: the fixpoints depend on
+    # the order in which the rules fire
+    steps = []
+
+    def recording(*args, **kwargs):
+        trace = apply_reductions(*args, **kwargs)
+        steps.extend(trace.steps)
+        return trace
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", recording)
+    enumerate_minimal_rdf_refined(g, lambda f: None)
+    text = "\n".join(f"{rule} {v} {old} {new}" for rule, v, old, new in steps)
+    assert len(steps) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_seeded_reductions_match_full(monkeypatch):
+    # a call seeded at the branch vertex, with the kept counts, relabels
+    # exactly as a call that pends every vertex and recounts
+    checked = []
+
+    def compare(adj, grdf, counts, branch):
+        state = list(grdf.labels)
+        assert counts == two_counts(
+            adj, [v for v, x in enumerate(state) if x == 2])
+        trace = apply_reductions(adj, grdf, counts, branch)
+        full = Grdf(state)
+        assert apply_reductions(adj, full).steps == trace.steps
+        assert full.labels == grdf.labels
+        checked.append(branch)
+        return trace
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", compare)
+    rng = random.Random(23)
+    for _ in range(12):
+        g = gen_random(10, rng.choice((0.15, 0.25, 0.4)), rng.randrange(10**6))
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert any(b is not None for b in checked)
+
+
+def test_refined_rule_fires_and_prunes():
+    stats = enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None)
+    assert stats.rule_fires == {RULE_LPN: 4433, RULE_V0: 669, RULE_V2: 430,
+                                RULE_NPD: 3979, RULE_ISOLATE: 1452}
+    assert stats.prunes == 553
+    for g, prunes in ((gen_cycle(14), 134), (gen_random(12, 0.2, 7), 5)):
+        assert enumerate_minimal_rdf_refined(g, lambda f: None).prunes == prunes
 
 
 def test_tree_ratio_on_large_order(monkeypatch):

@@ -28,6 +28,14 @@ def test_simple_c5_count(c5):
     assert len(out) == 16 and stats.solutions == 16
 
 
+def test_simple_leaves_reduction_counters_empty(c5):
+    # rule fires and prunes belong to the refined search only
+    for enumerate_ in (enumerate_minimal_rdf_simple,
+                       enumerate_po_minimal_simple):
+        _, stats = _collect(enumerate_, c5)
+        assert stats.rule_fires == {} and stats.prunes == 0
+
+
 def test_simple_k1():
     out, _ = _collect(enumerate_minimal_rdf_simple, gen_null(1))
     assert out == [(1,)]

@@ -12,9 +12,25 @@ The reduction pass applies, at each step, the first rule in a fixed order
 at the lowest vertex where it applies.  The fixpoint depends on that
 order: on P2 labelled (2, active), LPN first gives (2, 0) while V2 first
 gives (2, not-1).  So the pass keeps this scan order, and gets its speed
-from a worklist that re-tests only the vertices near a change.  The
-extension test is local too: the search keeps the closed 2-neighbor
-counts, and only 2-vertices near a new 2 can lose a private neighbor.
+from a worklist that re-tests a rule at a vertex only when a label
+change next to it can newly satisfy the rule.  Labels only fall, and no
+rule creates a 2 or an active vertex, so that is rare: a relabel old ->
+new of w enables, by the label of each neighbor x,
+
+    ===============  ============================================
+    rule at x        when the transition of w
+    ===============  ============================================
+    LPN (2)          leaves {active, not-2}
+    NPD (not-2)      enters {not-2, 0, 1} from {active, not-1, 2}
+    NPN (active)     enters {0, not-1}
+    Isolate (not-1)  leaves not-2, once nothing is active
+    ===============  ============================================
+
+and at w itself V0 (a new 0 with one 2-neighbor) or NPD (a new not-2).
+V0, V1 and V2 never need a neighbor's pend, as :func:`apply_reductions`
+explains.  The extension test is local too: the search keeps the closed
+2-neighbor counts, and only 2-vertices near a new 2 can lose a private
+neighbor.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
 """
@@ -69,11 +85,33 @@ def undo(trace: ReductionTrace, grdf: Grdf) -> None:
 _RULES = (RULE_LPN, RULE_V0, RULE_V1, RULE_V2, RULE_NPD, RULE_NPN,
           RULE_ISOLATE)
 _LPN, _V0, _V1, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
-# Rules that read only the closed neighborhood N[v], by the label of v.
-# V0 also reads distance-2 labels and counts and is pended separately;
-# Isolate is pended only once no vertex is active.
-_NEAR_RULES = {0: (), 1: (_V1,), 2: (_LPN, _V2), NOT_ONE: (),
-               NOT_TWO: (_NPD,), ACTIVE: (_NPN,)}
+# The rules that may apply at a vertex, by its label, for a full seed.  V0
+# is pended only at 0-vertices with count 1, Isolate only once nothing is
+# active.
+_RULES_AT = {0: (), 1: (_V1,), 2: (_LPN, _V2), NOT_ONE: (), NOT_TWO: (_NPD,),
+             ACTIVE: (_NPN,)}
+
+
+def _enabled_around(old: int, new: int, idle: bool) -> tuple:
+    """The rule a relabel old -> new of w can newly satisfy at a neighbor.
+
+    Indexed by the neighbor's label; ``idle`` means nothing is active.
+    """
+    near = [None] * (ACTIVE + 1)
+    if old in (ACTIVE, NOT_TWO) and new not in (ACTIVE, NOT_TWO):
+        near[2] = _LPN
+    if old in (ACTIVE, NOT_ONE, 2) and new in (NOT_TWO, 0, 1):
+        near[NOT_TWO] = _NPD
+    if old not in (0, NOT_ONE) and new in (0, NOT_ONE):
+        near[ACTIVE] = _NPN
+    if idle and old == NOT_TWO:
+        near[NOT_ONE] = _ISOLATE
+    return tuple(near) if any(r is not None for r in near) else ()
+
+
+_ENABLED_AROUND = {(old, new, idle): _enabled_around(old, new, idle)
+                   for old in range(ACTIVE + 1) for new in range(ACTIVE + 1)
+                   for idle in (False, True)}
 
 
 def _lpn(adj, labels, counts, v):
@@ -161,7 +199,7 @@ _TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
 
 def apply_reductions(adj: Adjacency, grdf: Grdf,
                      counts: list[int] | None = None,
-                     branch: int | None = None) -> ReductionTrace:
+                     branch: tuple[int, int] | None = None) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
 
     Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
@@ -171,16 +209,39 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     change the search tree.  A worklist replays this order without
     rescanning: each rule keeps a set of pending vertices, a superset of
     those where it applies, and each step takes the first rule's lowest
-    pending vertex, dropping it if the rule does not apply.  A relabel
-    pends only the rule instances that read the changed label.
+    pending vertex, dropping it if the rule does not apply.
+
+    Labels only fall, and no rule creates a 2 or an active vertex, so a
+    relabel old -> new of w pends only what that transition can newly
+    satisfy.  At w itself, by its new label: V0 if 0 with count 1, NPD if
+    not-2.  At a neighbor x, by the label of x:
+
+    - LPN at a 2-vertex, when w leaves {active, not-2};
+    - NPD at a not-2 vertex, when w enters {not-2, 0, 1} from {active,
+      not-1, 2};
+    - NPN at an active vertex, when w enters {0, not-1};
+    - Isolate at a not-1 vertex, once nothing is active, when w leaves
+      not-2; when the last active vertex goes, every not-1 vertex.
+
+    V0, V1 and V2 need no neighbor pend.  Their targets, the neighbors
+    that may still be 2 (V0, V1) or 1 (V2), only shrink: a vertex enters
+    {active, not-1} or {active, not-2} only from active.  A 1 comes only
+    from NPD, whose neighbors are all in {not-2, 0, 1}, so a new 1 has
+    no V1 targets.  V0's side condition at v, with u
+    the 2-neighbor of v, needs each blocker x in N(u) (a 0, not-1 or
+    not-2 vertex) to have count at least 2; the counts are fixed here,
+    and a rule could move a blocker out of its class only as not-2 -> 1,
+    which NPD cannot do next to the 2-vertex u.
 
     ``counts`` holds the closed 2-neighbor counts of ``rdf.two_counts``;
-    no rule creates a 2, so they stay fixed here.  With ``branch`` given,
-    the grdf must be a fixpoint except at that vertex, just relabelled by
-    a branch (which also updated ``counts`` if it set a 2); only the
-    vertices that read it are pended.  Otherwise every vertex is pended
-    and the counts are computed if not given.  Returns the trace needed
-    to undo the relabelings.
+    no rule creates a 2, so they stay fixed here.  With ``branch = (b,
+    old)`` the grdf must be a fixpoint except at b, just relabelled from
+    ``old`` by a branch (which also updated ``counts`` if it set a 2).
+    The branch pends as a relabel does; a set branch also pends LPN and
+    V2 at b, and V0 wherever a blocker went away: where a count rose to
+    2, and next to the 2-neighbors of b if b was a not-1 blocker.
+    Otherwise every vertex is pended and the counts are computed if not
+    given.  Returns the trace needed to undo the relabelings.
     """
     labels = grdf.labels
     n = len(labels)
@@ -192,53 +253,59 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     pending = [0] * len(_RULES)
     actives = labels.count(ACTIVE)
 
-    def pend_v0(v: int) -> None:
-        # Only a 0-vertex with one 2-neighbor can ever meet V0's test.
-        if labels[v] == 0 and counts[v] == 1:
-            pending[_V0] |= 1 << v
-
     def pend_not_one() -> None:
         for v in range(n):
             if labels[v] == NOT_ONE:
                 pending[_ISOLATE] |= 1 << v
 
-    def touch(w: int) -> None:
-        """Pend every rule instance that reads the label of w."""
-        for x in (w, *adj[w]):
-            label = labels[x]
-            for rule in _NEAR_RULES[label]:
-                pending[rule] |= 1 << x
-            if label == 0:
-                pend_v0(x)
-            elif label == 2:
-                # V0 at v reads the labels of N(u), u being v's 2-neighbor.
-                for v in adj[x]:
-                    pend_v0(v)
-            elif label == NOT_ONE and actives == 0:
-                pending[_ISOLATE] |= 1 << x
+    def pend_v0_around(u: int) -> None:
+        # V0 at each 0-vertex with count 1 next to the 2-vertex u.
+        for v in adj[u]:
+            if labels[v] == 0 and counts[v] == 1:
+                pending[_V0] |= 1 << v
 
-    if actives == 0:
-        # Isolate applies only once nothing is active, and the branch may
-        # just have relabelled the last active vertex.
-        pend_not_one()
+    def moved(w: int, old: int) -> None:
+        """Pend what the relabel of w from ``old`` can newly satisfy."""
+        new = labels[w]
+        if new == 0:
+            if counts[w] == 1:
+                pending[_V0] |= 1 << w
+        elif new == NOT_TWO:
+            pending[_NPD] |= 1 << w
+        near = _ENABLED_AROUND[old, new, not actives]
+        if near:
+            for x in adj[w]:
+                rule = near[labels[x]]
+                if rule is not None:
+                    pending[rule] |= 1 << x
+
     if branch is None:
         for v in range(n):
-            for rule in _NEAR_RULES[labels[v]]:
+            label = labels[v]
+            for rule in _RULES_AT[label]:
                 pending[rule] |= 1 << v
-            pend_v0(v)
+            if label == 0 and counts[v] == 1:
+                pending[_V0] |= 1 << v
+        if not actives:
+            pend_not_one()
     else:
-        touch(branch)
-        if labels[branch] == 2:
-            # The counts went up by one on N[branch].  Besides its own count
-            # (pended by touch), V0 at v reads whether each x in N(u), u
-            # being v's 2-neighbor, has a count of at least 2: newly true
-            # where it is now 2.
-            for x in adj[branch]:
-                if counts[x] == 2:
+        b, old = branch
+        if old == ACTIVE and not actives:
+            pend_not_one()
+        moved(b, old)
+        if labels[b] == 2:
+            pending[_LPN] |= 1 << b
+            pending[_V2] |= 1 << b
+            for x in adj[b]:
+                # The counts rose by one on N[b].
+                if counts[x] == 2 and labels[x] in (0, NOT_ONE, NOT_TWO):
                     for u in adj[x]:
                         if labels[u] == 2:
-                            for v in adj[u]:
-                                pend_v0(v)
+                            pend_v0_around(u)
+            if old == NOT_ONE:
+                for u in adj[b]:
+                    if labels[u] == 2:
+                        pend_v0_around(u)
 
     rule, n_rules = 0, len(_RULES)
     while rule < n_rules:
@@ -258,9 +325,9 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
             labels[w] = new
             if old == ACTIVE:
                 actives -= 1
-                if actives == 0:
+                if not actives:
                     pend_not_one()
-            touch(w)
+            moved(w, old)
         rule = 0
     return trace
 
@@ -403,7 +470,8 @@ class RefinedEnumerator:
         return self.stats
 
     def _emit(self) -> None:
-        self.sink(self.grdf.assignment())
+        # _node has just checked that every label is final.
+        self.sink(tuple(self.grdf.labels))
         self.stats.solutions += 1
         self.stats.max_gap = max(self.stats.max_gap, self._gap)
         self._gap = 0
@@ -433,11 +501,11 @@ class RefinedEnumerator:
         labels = self.grdf.labels
         counts = self.counts
         fires = self.stats.rule_fires
+        old = labels[v]
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
-        seed = v if last_priority else None
+        seed = (v, old) if last_priority else None
         for deny in (False, True):
-            old = labels[v]
             if deny:
                 branch_deny_two(self.grdf, v)
             else:

@@ -41,11 +41,6 @@ class Grdf:
     def is_complete(self) -> bool:
         return max(self.labels, default=0) <= 2
 
-    def assignment(self) -> tuple[int, ...]:
-        if not self.is_complete():
-            raise ValueError("grdf is not fully resolved to {0,1,2}")
-        return tuple(self.labels)
-
 
 def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:
     """Does the total assignment respect every label promise?"""

@@ -2,17 +2,14 @@
 
 This module is the ground truth for small instances.  It deliberately
 uses nothing but the bare definitions: an assignment is kept iff it is
-an rdf and no other rdf lies below it in the chosen order, decided by a
-pairwise sweep over the full rdf list.  It never calls the
-characterization-based checkers it is used to validate.
+an rdf and no other rdf lies below it in the chosen order.  It never
+calls the characterization-based checkers it is used to validate.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .graph import Graph
 from .rdf import Assignment
@@ -56,6 +53,16 @@ def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
     return out
 
 
+def _covered(f: Assignment, ones: int, twos: int, standard: bool):
+    # The (ones, twos) masks of the assignments that f covers.
+    for v, x in enumerate(f):
+        bit = 1 << v
+        if x == 1:
+            yield ones ^ bit, twos
+        elif x == 2:
+            yield (ones | bit if standard else ones), twos ^ bit
+
+
 def brute_minimal_rdfs(g: Graph, order: str = "standard",
                        cap: int = DEFAULT_CAP) -> list[Assignment]:
     """All minimal rdfs of ``g`` in the given order, sorted as digit strings.
@@ -67,25 +74,15 @@ def brute_minimal_rdfs(g: Graph, order: str = "standard",
         raise ValueError(f"unknown order {order!r}")
     _check_cap(g.n, cap)
     rdfs = _all_rdfs(g)
-    if not rdfs:
-        return []
-    ones = np.array([o for _, o, _ in rdfs], dtype=np.int64)
-    twos = np.array([t for _, _, t in rdfs], dtype=np.int64)
-    minimal: list[Assignment] = []
-    for i in range(len(rdfs)):
-        # g <= f: twos(g) within twos(f), and (standard) nonzeros within
-        # nonzeros, or (po) ones within ones.
-        below_twos = (twos & ~twos[i]) == 0
-        if order == "standard":
-            nz_i = ones[i] | twos[i]
-            below = below_twos & (((ones | twos) & ~nz_i) == 0)
-        else:
-            below = below_twos & ((ones & ~ones[i]) == 0)
-        # The only assignment counted that equals f is f itself.
-        if int(below.sum()) == 1:
-            minimal.append(rdfs[i][0])
+    # Raising a value keeps every vertex dominated, so the rdfs are closed
+    # upwards in both orders, and f is minimal iff no assignment that f
+    # covers is an rdf.  f covers the assignments that lower one vertex:
+    # 2 -> 1 or 1 -> 0 in the standard order, 2 -> 0 or 1 -> 0 in "po".
+    masks = {(ones, twos) for _, ones, twos in rdfs}
+    standard = order == "standard"
     # product() already yields assignments in ascending digit-string order.
-    return minimal
+    return [f for f, ones, twos in rdfs
+            if not any(m in masks for m in _covered(f, ones, twos, standard))]
 
 
 def brute_ext(g: Graph, f: Assignment, forbidden: Iterable[int] = (),

@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from romandom import (Graph, enumerate_minimal_rdf_refined, gen_c5_copies,
-                      gen_cycle, gen_null, gen_random, is_minimal_rdf)
+                      gen_cycle, gen_null, gen_random, gen_star, is_minimal_rdf)
 import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
                                    RULE_V0, RULE_V2,
@@ -264,6 +265,79 @@ def test_seeded_reductions_match_full(monkeypatch):
         g = gen_random(10, rng.choice((0.15, 0.25, 0.4)), rng.randrange(10**6))
         enumerate_minimal_rdf_refined(g, lambda f: None)
     assert any(b is not None for b in checked)
+
+
+def _scan_reductions(adj, labels):
+    # The scan semantics the worklist replays: after every step, restart
+    # from the first rule and the lowest vertex; Isolate only once nothing
+    # is active.
+    steps = []
+    while True:
+        counts = two_counts(adj, [v for v, x in enumerate(labels) if x == 2])
+        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS):
+            if rule == RULE_ISOLATE and ACTIVE in labels:
+                continue
+            hit = next(filter(None, (test(adj, labels, counts, v)
+                                     for v in range(len(labels)))), None)
+            if hit:
+                break
+        else:
+            return steps
+        for w, new in hit:
+            steps.append((rule, w, labels[w], new))
+            labels[w] = new
+
+
+def test_reductions_match_scan_on_random_labellings():
+    rng = random.Random(31)
+    fired = set()
+    for _ in range(300):
+        g = gen_random(rng.randint(2, 9), rng.choice((0.2, 0.35, 0.5)),
+                       rng.randrange(10**6))
+        labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
+        expected = list(labels)
+        scan = _scan_reductions(g.adj, expected)
+        grdf = Grdf(labels)
+        assert apply_reductions(g.adj, grdf).steps == scan
+        assert grdf.labels == expected
+        fired.update(step[0] for step in scan)
+    assert fired == set(enum_refined._RULES)
+
+
+def test_reductions_match_scan_in_refined_runs(monkeypatch):
+    # every call of a search, seeded at its branch vertex, relabels as the
+    # scan does from the same state
+    calls = []
+
+    def compare(adj, grdf, *args):
+        expected = list(grdf.labels)
+        scan = _scan_reductions(adj, expected)
+        trace = apply_reductions(adj, grdf, *args)
+        assert trace.steps == scan
+        assert grdf.labels == expected
+        calls.append(args[1])
+        return trace
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", compare)
+    rng = random.Random(37)
+    graphs = [gen_star(8), gen_c5_copies(2), gen_cycle(10)]
+    graphs += [gen_random(rng.randint(6, 12), rng.choice((0.15, 0.25, 0.4)),
+                          rng.randrange(10**6)) for _ in range(8)]
+    for g in graphs:
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert any(branch is not None for branch in calls)
+
+
+def test_refined_star_is_fast():
+    # a relabel of a ray must not re-test the centre: with that re-test
+    # the run grows faster than quadratically, to over 4 s at 400 rays
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        stats = enumerate_minimal_rdf_refined(gen_star(400), lambda f: None)
+        best = min(best, time.perf_counter() - start)
+        assert (stats.solutions, stats.tree_nodes) == (402, 803)
+    assert best < 2.0
 
 
 def test_refined_rule_fires_and_prunes():

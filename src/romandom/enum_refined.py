@@ -33,6 +33,10 @@ explains.  The extension test is local too: the search keeps the closed
 neighbor.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
+The search state is kept in place as the bit sets of
+:class:`SearchState` and undone on backtracking (as in Knuth's "Dancing
+Links"), so each rule test, pend, branch pick, completeness check and
+privacy test is a few operations on Python ints, not a scan.
 """
 
 from __future__ import annotations
@@ -77,7 +81,51 @@ class ReductionTrace:
 def undo(trace: ReductionTrace, grdf: Grdf) -> None:
     """Reverse a recorded trace (mutates the grdf)."""
     for _rule, v, old, _new in reversed(trace.steps):
-        grdf.labels[v] = old
+        grdf.relabel(v, old)
+
+
+class SearchState(Grdf):
+    """A grdf (sharing its labels and masks) with the search's kept state.
+
+    ``nbr[v]`` is the neighborhood of v as a bit set, ``counts`` the closed
+    2-neighbor counts of ``rdf.two_counts`` and ``c1`` the bit set of the
+    vertices with count 1.  No rule creates a 2, so only
+    :meth:`shift_counts`, at a set branch and its restore, changes them.
+    """
+
+    def __init__(self, adj: Adjacency, grdf: Grdf,
+                 counts: list[int] | None = None):
+        self.labels, self.masks, self.adj = grdf.labels, grdf.masks, adj
+        self.nbr = [sum(1 << u for u in adj[v]) for v in range(len(adj))]
+        self.counts = counts if counts is not None else two_counts(
+            adj, [v for v, x in enumerate(self.labels) if x == 2])
+        self.c1 = sum(1 << v for v, c in enumerate(self.counts) if c == 1)
+
+    def shift_counts(self, v: int, by: int) -> None:
+        """Add ``by`` (1 or -1) to the counts on N[v], for a 2 at v."""
+        counts = self.counts
+        for u in (v, *self.adj[v]):
+            count = counts[u] + by
+            counts[u] = count
+            if count == 1 or count == 1 + by:
+                self.c1 ^= 1 << u
+
+
+def _kept(adj: Adjacency, grdf: Grdf,
+          counts: list[int] | None = None) -> SearchState:
+    # A run's own state, or one built around a plain grdf.
+    return (grdf if isinstance(grdf, SearchState)
+            else SearchState(adj, grdf, counts))
+
+
+def _around(nbr: list[int], vertices: int) -> int:
+    # The union of the neighborhoods of a bit set of vertices.
+    union = 0
+    while vertices:
+        low = vertices & -vertices
+        union |= nbr[low.bit_length() - 1]
+        vertices ^= low
+    return union
 
 
 # The rules in the order they are tried.  Each applies only at a vertex
@@ -85,105 +133,104 @@ def undo(trace: ReductionTrace, grdf: Grdf) -> None:
 _RULES = (RULE_LPN, RULE_V0, RULE_V1, RULE_V2, RULE_NPD, RULE_NPN,
           RULE_ISOLATE)
 _LPN, _V0, _V1, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
-# The rules that may apply at a vertex, by its label, for a full seed.  V0
-# is pended only at 0-vertices with count 1, Isolate only once nothing is
-# active.
-_RULES_AT = {0: (), 1: (_V1,), 2: (_LPN, _V2), NOT_ONE: (), NOT_TWO: (_NPD,),
-             ACTIVE: (_NPN,)}
 
 
 def _enabled_around(old: int, new: int, idle: bool) -> tuple:
-    """The rule a relabel old -> new of w can newly satisfy at a neighbor.
-
-    Indexed by the neighbor's label; ``idle`` means nothing is active.
-    """
-    near = [None] * (ACTIVE + 1)
+    """(label, rule) pairs: a relabel old -> new of w pends the rule at the
+    neighbors of w with that label (``idle``: nothing is active)."""
+    near = []
     if old in (ACTIVE, NOT_TWO) and new not in (ACTIVE, NOT_TWO):
-        near[2] = _LPN
+        near.append((2, _LPN))
     if old in (ACTIVE, NOT_ONE, 2) and new in (NOT_TWO, 0, 1):
-        near[NOT_TWO] = _NPD
+        near.append((NOT_TWO, _NPD))
     if old not in (0, NOT_ONE) and new in (0, NOT_ONE):
-        near[ACTIVE] = _NPN
+        near.append((ACTIVE, _NPN))
     if idle and old == NOT_TWO:
-        near[NOT_ONE] = _ISOLATE
-    return tuple(near) if any(r is not None for r in near) else ()
+        near.append((NOT_ONE, _ISOLATE))
+    return tuple(near)
 
 
-_ENABLED_AROUND = {(old, new, idle): _enabled_around(old, new, idle)
-                   for old in range(ACTIVE + 1) for new in range(ACTIVE + 1)
-                   for idle in (False, True)}
+# Indexed [old][new][idle].
+_ENABLED_AROUND = [[[_enabled_around(old, new, idle) for idle in (False, True)]
+                    for new in range(ACTIVE + 1)] for old in range(ACTIVE + 1)]
+
+# Each rule test takes (labels, masks, nbr, c1, v), the state's parts, and
+# returns the relabels (w, new) it makes at v, empty if it does not apply.
 
 
-def _lpn(adj, labels, counts, v):
+def _lpn(labels, masks, nbr, c1, v):
     # Last potential private neighbor: a 2-vertex with a single remaining
     # candidate (active or not-2) must claim it as its 0-valued private
     # neighbor.
-    if labels[v] != 2:
-        return ()
-    cand = [u for u in adj[v] if labels[u] in (ACTIVE, NOT_TWO)]
-    return ((cand[0], 0),) if len(cand) == 1 else ()
+    if labels[v] == 2:
+        cand = nbr[v] & (masks[ACTIVE] | masks[NOT_TWO])
+        if cand and not cand & (cand - 1):
+            return ((cand.bit_length() - 1, 0),)
+    return ()
 
 
-def _v0(adj, labels, counts, v):
+def _v0(labels, masks, nbr, c1, v):
     # A 0-vertex with a unique 2-neighbor u is u's only possible private
     # neighbor (provided u's other undecided neighbors are all dominated
     # twice); no other neighbor of the 0-vertex may take the value 2.
-    # A vertex that is not 2 has as many 2-neighbors as its count says.
-    if labels[v] != 0 or counts[v] != 1:
+    # A blocker next to the 2-vertex u has count 1 or more.
+    if labels[v] != 0 or not c1 >> v & 1:
         return ()
-    changes = _bar_two_around(adj, labels, v)
-    if not changes:
+    near = nbr[v]
+    if not near & (masks[ACTIVE] | masks[NOT_ONE]):
         return ()
-    for u in adj[v]:
-        if labels[u] == 2:
-            break
-    if any(counts[x] < 2 for x in adj[u]
-           if x != v and labels[x] in (0, NOT_ONE, NOT_TWO)):
+    u = (near & masks[2]).bit_length() - 1
+    if nbr[u] & (masks[0] | masks[NOT_ONE] | masks[NOT_TWO]) & c1 & ~(1 << v):
         return ()
+    return _lower_each(near & (masks[ACTIVE] | masks[NOT_ONE]), masks[ACTIVE],
+                       NOT_TWO)
+
+
+def _v1(labels, masks, nbr, c1, v):
+    # Neighbors of a 1-vertex can never be 2.
+    return _lower_each(nbr[v] & (masks[ACTIVE] | masks[NOT_ONE]),
+                       masks[ACTIVE], NOT_TWO) if labels[v] == 1 else ()
+
+
+def _v2(labels, masks, nbr, c1, v):
+    # Neighbors of a 2-vertex can never be 1.
+    return _lower_each(nbr[v] & (masks[ACTIVE] | masks[NOT_TWO]),
+                       masks[ACTIVE], NOT_ONE) if labels[v] == 2 else ()
+
+
+def _lower_each(targets: int, active: int, new: int) -> list:
+    # Each target, lowest first, goes to ``new`` if active, else to 0.
+    changes = []
+    while targets:
+        low = targets & -targets
+        changes.append((low.bit_length() - 1, new if low & active else 0))
+        targets ^= low
     return changes
 
 
-def _v1(adj, labels, counts, v):
-    # Neighbors of a 1-vertex can never be 2.
-    return _bar_two_around(adj, labels, v) if labels[v] == 1 else ()
-
-
-def _bar_two_around(adj, labels, v):
-    # The relabels that bar every undecided neighbor of v from value 2.
-    return tuple((w, NOT_TWO if labels[w] == ACTIVE else 0)
-                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_ONE))
-
-
-def _v2(adj, labels, counts, v):
-    # Neighbors of a 2-vertex can never be 1.
-    if labels[v] != 2:
-        return ()
-    return tuple((w, NOT_ONE if labels[w] == ACTIVE else 0)
-                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_TWO))
-
-
-def _npd(adj, labels, counts, v):
+def _npd(labels, masks, nbr, c1, v):
     # No potential domination: a not-2 vertex whose neighbors can never
     # take the value 2 cannot become 0, so it must be 1.
-    if labels[v] == NOT_TWO and all(labels[u] in (NOT_TWO, 0, 1)
-                                    for u in adj[v]):
+    if labels[v] == NOT_TWO and not nbr[v] & (masks[2] | masks[NOT_ONE]
+                                              | masks[ACTIVE]):
         return ((v, 1),)
     return ()
 
 
-def _npn(adj, labels, counts, v):
+def _npn(labels, masks, nbr, c1, v):
     # No private neighbor: an active vertex whose whole neighborhood is
     # already dominated cannot usefully take the value 2.
-    if labels[v] == ACTIVE and all(labels[u] in (0, NOT_ONE) for u in adj[v]):
+    if labels[v] == ACTIVE and not nbr[v] & (masks[1] | masks[2]
+                                             | masks[NOT_TWO] | masks[ACTIVE]):
         return ((v, NOT_TWO),)
     return ()
 
 
-def _isolate(adj, labels, counts, v):
+def _isolate(labels, masks, nbr, c1, v):
     # Once nothing is active (the engine pends this rule only then), a
     # not-1 vertex with no not-2 neighbor has nothing left to dominate, so
     # it cannot be 2.
-    if labels[v] == NOT_ONE and not any(labels[u] == NOT_TWO for u in adj[v]):
+    if labels[v] == NOT_ONE and not nbr[v] & masks[NOT_TWO]:
         return ((v, 0),)
     return ()
 
@@ -197,31 +244,33 @@ _TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
 # would never change a decision.
 
 
+def _pend_moved(pending: int, masks: list[int], nbr: list[int], c1: int,
+                n: int, w: int, old: int, new: int) -> int:
+    """``pending`` with what the relabel old -> new of w can newly satisfy."""
+    if new == 0:
+        pending |= (c1 & 1 << w) << _V0 * n
+    elif new == NOT_TWO:
+        pending |= 1 << _NPD * n + w
+    near = nbr[w]
+    for label, rule in _ENABLED_AROUND[old][new][not masks[ACTIVE]]:
+        pending |= (near & masks[label]) << rule * n
+    return pending
+
+
 def apply_reductions(adj: Adjacency, grdf: Grdf,
                      counts: list[int] | None = None,
                      branch: tuple[int, int] | None = None) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
 
     Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
-    NPN, Isolate, at the lowest vertex where it applies.  The fixpoint
-    depends on that order: on P2 labelled (2, active), LPN first gives
-    (2, 0) while V2 first gives (2, not-1), so any other order would
-    change the search tree.  A worklist replays this order without
-    rescanning: each rule keeps a set of pending vertices, a superset of
-    those where it applies, and each step takes the first rule's lowest
-    pending vertex, dropping it if the rule does not apply.
-
-    Labels only fall, and no rule creates a 2 or an active vertex, so a
-    relabel old -> new of w pends only what that transition can newly
-    satisfy.  At w itself, by its new label: V0 if 0 with count 1, NPD if
-    not-2.  At a neighbor x, by the label of x:
-
-    - LPN at a 2-vertex, when w leaves {active, not-2};
-    - NPD at a not-2 vertex, when w enters {not-2, 0, 1} from {active,
-      not-1, 2};
-    - NPN at an active vertex, when w enters {0, not-1};
-    - Isolate at a not-1 vertex, once nothing is active, when w leaves
-      not-2; when the last active vertex goes, every not-1 vertex.
+    NPN, Isolate, at the lowest vertex where it applies; any other order
+    would change the search tree (see the module docs).  A worklist
+    replays this order without rescanning: the pending (rule, vertex)
+    pairs, a superset of those where the rule applies, form one bit set
+    in scan order, and each step takes its lowest pair, dropping it if
+    the rule does not apply.  A relabel old -> new of w pends only what
+    the transition can newly satisfy, as in the module table; when the
+    last active vertex goes, Isolate is pended at every not-1 vertex.
 
     V0, V1 and V2 need no neighbor pend.  Their targets, the neighbors
     that may still be 2 (V0, V1) or 1 (V2), only shrink: a vertex enters
@@ -233,102 +282,64 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     and a rule could move a blocker out of its class only as not-2 -> 1,
     which NPD cannot do next to the 2-vertex u.
 
-    ``counts`` holds the closed 2-neighbor counts of ``rdf.two_counts``;
-    no rule creates a 2, so they stay fixed here.  With ``branch = (b,
-    old)`` the grdf must be a fixpoint except at b, just relabelled from
-    ``old`` by a branch (which also updated ``counts`` if it set a 2).
-    The branch pends as a relabel does; a set branch also pends LPN and
-    V2 at b, and V0 wherever a blocker went away: where a count rose to
-    2, and next to the 2-neighbors of b if b was a not-1 blocker.
-    Otherwise every vertex is pended and the counts are computed if not
-    given.  Returns the trace needed to undo the relabelings.
+    ``grdf`` is either a run's :class:`SearchState`, whose ``counts``
+    must be passed as ``counts``, or a plain grdf, around which the bit
+    sets are built.  ``counts`` holds the closed 2-neighbor counts of
+    ``rdf.two_counts``; no rule creates a 2, so they stay fixed here.
+    With ``branch = (b, old)`` the grdf must be a fixpoint except at b,
+    just relabelled from ``old`` by a branch (which also updated the
+    counts if it set a 2).  The branch pends as a relabel does; a set
+    branch also pends LPN and V2 at b, and V0 wherever a blocker went
+    away: where a count rose to 2, and next to the 2-neighbors of b if b
+    was a not-1 blocker.  Otherwise every vertex is pended and the counts
+    are computed if not given.  Returns the trace needed to undo the
+    relabelings.
     """
-    labels = grdf.labels
+    state = _kept(adj, grdf, counts)
+    labels, masks, nbr, c1 = state.labels, state.masks, state.nbr, state.c1
     n = len(labels)
-    if counts is None:
-        counts = two_counts(adj, [v for v in range(n) if labels[v] == 2])
     trace = ReductionTrace()
     steps = trace.steps
-    # Pending vertices of each rule, as bit sets: bit v stands for v.
-    pending = [0] * len(_RULES)
-    actives = labels.count(ACTIVE)
-
-    def pend_not_one() -> None:
-        for v in range(n):
-            if labels[v] == NOT_ONE:
-                pending[_ISOLATE] |= 1 << v
-
-    def pend_v0_around(u: int) -> None:
-        # V0 at each 0-vertex with count 1 next to the 2-vertex u.
-        for v in adj[u]:
-            if labels[v] == 0 and counts[v] == 1:
-                pending[_V0] |= 1 << v
-
-    def moved(w: int, old: int) -> None:
-        """Pend what the relabel of w from ``old`` can newly satisfy."""
-        new = labels[w]
-        if new == 0:
-            if counts[w] == 1:
-                pending[_V0] |= 1 << w
-        elif new == NOT_TWO:
-            pending[_NPD] |= 1 << w
-        near = _ENABLED_AROUND[old, new, not actives]
-        if near:
-            for x in adj[w]:
-                rule = near[labels[x]]
-                if rule is not None:
-                    pending[rule] |= 1 << x
-
+    # Bit rule * n + v of ``pending`` stands for the pair (rule, v).
     if branch is None:
-        for v in range(n):
-            label = labels[v]
-            for rule in _RULES_AT[label]:
-                pending[rule] |= 1 << v
-            if label == 0 and counts[v] == 1:
-                pending[_V0] |= 1 << v
-        if not actives:
-            pend_not_one()
+        pending = sum(mask << rule * n for rule, mask in enumerate((
+            masks[2], masks[0] & c1, masks[1], masks[2], masks[NOT_TWO],
+            masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
         b, old = branch
-        if old == ACTIVE and not actives:
-            pend_not_one()
-        moved(b, old)
+        pending = 0
+        if old == ACTIVE and not masks[ACTIVE]:
+            pending = masks[NOT_ONE] << _ISOLATE * n
+        pending = _pend_moved(pending, masks, nbr, c1, n, b, old, labels[b])
         if labels[b] == 2:
-            pending[_LPN] |= 1 << b
-            pending[_V2] |= 1 << b
+            pending |= 1 << _LPN * n + b | 1 << _V2 * n + b
+            # The counts rose by one on N[b]: a blocker of V0 went away
+            # where a count reached 2, and at b if it was not-1.
+            blockers = masks[0] | masks[NOT_ONE] | masks[NOT_TWO]
+            counts = state.counts
+            freed = nbr[b] if old == NOT_ONE else 0
             for x in adj[b]:
-                # The counts rose by one on N[b].
-                if counts[x] == 2 and labels[x] in (0, NOT_ONE, NOT_TWO):
-                    for u in adj[x]:
-                        if labels[u] == 2:
-                            pend_v0_around(u)
-            if old == NOT_ONE:
-                for u in adj[b]:
-                    if labels[u] == 2:
-                        pend_v0_around(u)
+                if counts[x] == 2 and blockers >> x & 1:
+                    freed |= nbr[x]
+            pending |= (_around(nbr, freed & masks[2]) & masks[0] & c1
+                        ) << _V0 * n
 
-    rule, n_rules = 0, len(_RULES)
-    while rule < n_rules:
-        todo = pending[rule]
-        if not todo:
-            rule += 1
-            continue
-        lowest = todo & -todo
-        pending[rule] = todo ^ lowest
-        changes = _TESTS[rule](adj, labels, counts, lowest.bit_length() - 1)
+    relabel = state.relabel
+    while pending:
+        lowest = pending & -pending
+        pending ^= lowest
+        rule, v = divmod(lowest.bit_length() - 1, n)
+        changes = _TESTS[rule](labels, masks, nbr, c1, v)
         if not changes:
             continue
         name = _RULES[rule]
         for w, new in changes:
             old = labels[w]
             steps.append((name, w, old, new))
-            labels[w] = new
-            if old == ACTIVE:
-                actives -= 1
-                if not actives:
-                    pend_not_one()
-            moved(w, old)
-        rule = 0
+            relabel(w, new)
+            if old == ACTIVE and not masks[ACTIVE]:
+                pending |= masks[NOT_ONE] << _ISOLATE * n
+            pending = _pend_moved(pending, masks, nbr, c1, n, w, old, new)
     return trace
 
 
@@ -340,49 +351,41 @@ def pick_branch_vertex(adj: Adjacency, grdf: Grdf) -> tuple[int, int] | None:
     preferring one whose not-2 neighborhood has size other than 2.
     Ties break to the lowest id.
     """
-    labels = grdf.labels
-    n = len(labels)
-    first_active = None
-    for v in range(n):
-        if labels[v] == ACTIVE:
-            if first_active is None:
-                first_active = v
-            if sum(1 for u in adj[v] if labels[u] in (ACTIVE, NOT_TWO)) >= 2:
-                return v, 1
-    if first_active is not None:
-        return first_active, 2
-    preferred = None
-    fallback = None
-    for v in range(n):
-        if labels[v] == NOT_ONE:
-            if fallback is None:
-                fallback = v
-            if preferred is None and sum(
-                1 for u in adj[v] if labels[u] == NOT_TWO
-            ) != 2:
-                preferred = v
-    if preferred is not None:
-        return preferred, 3
-    if fallback is not None:
-        return fallback, 3
-    return None
+    state = _kept(adj, grdf)
+    masks, nbr = state.masks, state.nbr
+    active = masks[ACTIVE]
+    if active:
+        open_ = active | masks[NOT_TWO]
+        todo = active
+        while todo:
+            low = todo & -todo
+            near = nbr[low.bit_length() - 1] & open_
+            if near & (near - 1):
+                return low.bit_length() - 1, 1
+            todo ^= low
+        return (active & -active).bit_length() - 1, 2
+    not_one, not_two = masks[NOT_ONE], masks[NOT_TWO]
+    todo = not_one
+    while todo:
+        low = todo & -todo
+        if (nbr[low.bit_length() - 1] & not_two).bit_count() != 2:
+            return low.bit_length() - 1, 3
+        todo ^= low
+    return ((not_one & -not_one).bit_length() - 1, 3) if not_one else None
 
 
 def branch_set_two(grdf: Grdf, v: int) -> None:
     """Commit the branch vertex to value 2 (mutates the grdf)."""
     if grdf.labels[v] not in (ACTIVE, NOT_ONE):
         raise ValueError(f"vertex {v} is not branchable")
-    grdf.labels[v] = 2
+    grdf.relabel(v, 2)
 
 
 def branch_deny_two(grdf: Grdf, v: int) -> None:
     """Commit the branch vertex to never take value 2 (mutates the grdf)."""
-    if grdf.labels[v] == ACTIVE:
-        grdf.labels[v] = NOT_TWO
-    elif grdf.labels[v] == NOT_ONE:
-        grdf.labels[v] = 0
-    else:
+    if grdf.labels[v] not in (ACTIVE, NOT_ONE):
         raise ValueError(f"vertex {v} is not branchable")
+    grdf.relabel(v, NOT_TWO if grdf.labels[v] == ACTIVE else 0)
 
 
 def check_phase_properties(adj: Adjacency, grdf: Grdf, phase: int) -> bool:
@@ -391,44 +394,28 @@ def check_phase_properties(adj: Adjacency, grdf: Grdf, phase: int) -> bool:
     Phase 0 stands for "reductions are at fixpoint" and checks the edge
     conditions; phases 1..3 correspond to the branching priorities.
     """
-    labels = grdf.labels
-    n = len(labels)
+    state = _kept(adj, grdf)
+    masks, nbr = state.masks, state.nbr
+    active = masks[ACTIVE]
     if phase == 0:
-        for u in range(n):
-            for v in adj[u]:
-                if labels[u] == 2 and labels[v] in (NOT_TWO, ACTIVE):
-                    return False
-                if labels[u] == 1 and labels[v] in (NOT_ONE, ACTIVE):
-                    return False
-        return True
+        return not (_around(nbr, masks[2]) & (masks[NOT_TWO] | active)
+                    or _around(nbr, masks[1]) & (masks[NOT_ONE] | active))
     if phase == 1:
-        for v in range(n):
-            if labels[v] != ACTIVE:
-                continue
-            if not any(labels[u] == ACTIVE for u in adj[v]):
-                continue
-            if len(adj[v]) == 1:
-                continue
-            others = [u for u in adj[v] if labels[u] != ACTIVE]
-            if any(labels[u] not in (NOT_ONE, 0) for u in others):
-                return False
-            if sum(1 for u in adj[v] if labels[u] == ACTIVE) > 1:
-                return False
-        return True
+        # An active vertex with an active neighbor and degree at least 2
+        # has one active neighbor, and its others are 0 or not-1.
+        return not any(
+            near & active and near & (near - 1) and (
+                near & ~(active | masks[NOT_ONE] | masks[0])
+                or (near & active).bit_count() > 1)
+            for v, near in enumerate(nbr) if active >> v & 1)
     if phase == 2:
-        if any(x == ACTIVE for x in labels):
-            return False
-        for v in range(n):
-            if labels[v] == NOT_TWO:
-                may_be_two = [u for u in adj[v]
-                              if labels[u] not in (NOT_TWO, 0, 1)]
-                if not may_be_two:
-                    return False
-                if any(labels[u] != NOT_ONE for u in may_be_two):
-                    return False
-        return True
+        # A not-2 vertex's neighbors that can still be 2 are non-empty and
+        # all not-1.
+        return not active and all(
+            near & masks[NOT_ONE] and not near & masks[2]
+            for v, near in enumerate(nbr) if masks[NOT_TWO] >> v & 1)
     if phase == 3:
-        return all(x <= 2 for x in labels)
+        return not active | masks[NOT_ONE] | masks[NOT_TWO]
     raise ValueError(f"unknown phase {phase}")
 
 
@@ -445,12 +432,9 @@ class RefinedEnumerator:
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
-        self.grdf = Grdf.all_active(g.n)
+        self.grdf = SearchState(g.adj, Grdf.all_active(g.n), [0] * g.n)
         self.stats = EnumStats()
         self._gap = 0
-        # Closed 2-neighbor counts (see rdf.two_counts), kept in step with
-        # the 2-labels: only a set branch creates a 2.
-        self.counts = [0] * g.n
 
     def run(self) -> EnumStats:
         start = time.perf_counter()
@@ -479,12 +463,14 @@ class RefinedEnumerator:
     def _node(self, parent_measure: float | None, last_priority: int) -> None:
         """Visit one search node (``parent_measure`` only when asserting)."""
         self.stats.tree_nodes += 1
-        if self.grdf.is_complete():
+        grdf = self.grdf
+        masks = grdf.masks
+        if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
             self._emit()
             return
         self._gap += 1
         adj = self.graph.adj
-        picked = pick_branch_vertex(adj, self.grdf)
+        picked = pick_branch_vertex(adj, grdf)
         if picked is None:
             raise AssertionError("incomplete state with no branch vertex")
         v, priority = picked
@@ -495,11 +481,11 @@ class RefinedEnumerator:
             )
             if self.assert_invariants:
                 for done in range(max(last_priority, 1), priority):
-                    assert check_phase_properties(adj, self.grdf, done), (
+                    assert check_phase_properties(adj, grdf, done), (
                         f"phase {done} properties violated"
                     )
-        labels = self.grdf.labels
-        counts = self.counts
+        labels = grdf.labels
+        counts = grdf.counts
         fires = self.stats.rule_fires
         old = labels[v]
         # The all-active root is no fixpoint if some vertex is isolated, so
@@ -507,12 +493,11 @@ class RefinedEnumerator:
         seed = (v, old) if last_priority else None
         for deny in (False, True):
             if deny:
-                branch_deny_two(self.grdf, v)
+                branch_deny_two(grdf, v)
             else:
-                branch_set_two(self.grdf, v)
-                for u in (v, *adj[v]):
-                    counts[u] += 1
-            trace = apply_reductions(adj, self.grdf, counts, seed)
+                branch_set_two(grdf, v)
+                grdf.shift_counts(v, 1)
+            trace = apply_reductions(adj, grdf, counts, seed)
             for step in trace.steps:
                 fires[step[0]] = fires.get(step[0], 0) + 1
             # A deny keeps the 2-set and the counts of the parent, which
@@ -523,23 +508,25 @@ class RefinedEnumerator:
             if self.assert_invariants:
                 bad = violated_invariants(adj, labels)
                 assert not bad, f"invariants {bad} violated after reductions"
-                assert check_phase_properties(adj, self.grdf, 0), (
+                assert check_phase_properties(adj, grdf, 0), (
                     "fixpoint edge conditions violated"
                 )
-                child_measure = measure(self.grdf)
+                kept = SearchState(adj, Grdf(list(labels)))
+                assert (masks, counts, grdf.c1) == (
+                    kept.masks, kept.counts, kept.c1), "kept state out of step"
+                child_measure = measure(grdf)
                 assert parent_measure is None or child_measure < parent_measure
                 assert alive == (
-                    gen_ext_rd(project_grdf(self.graph, self.grdf)) is not None
+                    gen_ext_rd(project_grdf(self.graph, grdf)) is not None
                 ), "local extension test disagrees with the solver"
             if alive:
                 self._node(child_measure, priority)
             else:
                 self.stats.prunes += 1
-            undo(trace, self.grdf)
-            labels[v] = old
+            undo(trace, grdf)
+            grdf.relabel(v, old)
             if not deny:
-                for u in (v, *adj[v]):
-                    counts[u] -= 1
+                grdf.shift_counts(v, -1)
 
     def _private_near(self, b: int) -> bool:
         """The extension test after setting b to 2, from the parent's pass.
@@ -547,13 +534,17 @@ class RefinedEnumerator:
         Only 2-vertices within distance 2 of b can have lost their last
         private neighbor (a neighbor with count 1), and b needs one too.
         """
-        adj = self.graph.adj
-        labels = self.grdf.labels
-        counts = self.counts
-        for x in (b, *adj[b]):
-            for v in (x, *adj[x]):
-                if labels[v] == 2 and not any(counts[u] == 1 for u in adj[v]):
-                    return False
+        grdf = self.grdf
+        nbr, c1 = grdf.nbr, grdf.c1
+        ball = 1 << b
+        for x in (b, *self.graph.adj[b]):
+            ball |= nbr[x]
+        twos = ball & grdf.masks[2]
+        while twos:
+            low = twos & -twos
+            if not nbr[low.bit_length() - 1] & c1:
+                return False
+            twos ^= low
         return True
 
 

@@ -165,7 +165,8 @@ def gen_disjoint_union(parts: list[Graph]) -> Graph:
 
 
 def gen_c5_copies(c: int) -> Graph:
-    """``c`` disjoint 5-cycles (order 5c); the worst-known lower-bound family."""
+    """``c`` disjoint 5-cycles (order 5c): 16^c = 1.7411^n minimal rdfs,
+    below the paper's lower bound of 1.7441^n."""
     if c < 1:
         raise ValueError("need at least one copy")
     return gen_disjoint_union([gen_cycle(5) for _ in range(c)])

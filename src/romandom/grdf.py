@@ -7,7 +7,7 @@ NOT_ONE ("will end up 0 or 2"), the promise NOT_TWO ("will end up 0 or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 NOT_ONE = 3
 NOT_TWO = 4
@@ -30,16 +30,28 @@ W2 = 0.38488
 
 @dataclass
 class Grdf:
-    """A labeling of all vertices by {0, 1, 2, NOT_ONE, NOT_TWO, ACTIVE}."""
+    """A labeling of all vertices by {0, 1, 2, NOT_ONE, NOT_TWO, ACTIVE}.
+
+    ``masks[x]``: the vertices labeled x as bits; kept by :meth:`relabel`.
+    """
 
     labels: list[int]
+    masks: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.masks = [0] * (ACTIVE + 1)
+        for v, x in enumerate(self.labels):
+            self.masks[x] |= 1 << v
 
     @classmethod
     def all_active(cls, n: int) -> "Grdf":
         return cls([ACTIVE] * n)
 
-    def is_complete(self) -> bool:
-        return max(self.labels, default=0) <= 2
+    def relabel(self, v: int, new: int) -> None:
+        bit = 1 << v
+        self.masks[self.labels[v]] ^= bit
+        self.masks[new] |= bit
+        self.labels[v] = new
 
 
 def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:
@@ -52,15 +64,9 @@ def measure(grdf: Grdf) -> float:
 
     At most n for the all-active start, exactly 0 at a fully resolved leaf.
     """
-    total = 0.0
-    for x in grdf.labels:
-        if x == ACTIVE:
-            total += 1.0
-        elif x == NOT_ONE:
-            total += W1
-        elif x == NOT_TWO:
-            total += W2
-    return total
+    masks = grdf.masks
+    return (masks[ACTIVE].bit_count() + W1 * masks[NOT_ONE].bit_count()
+            + W2 * masks[NOT_TWO].bit_count())
 
 
 def violated_invariants(adj: tuple[frozenset[int], ...],

@@ -16,6 +16,7 @@ from typing import Iterable
 from .graph import Graph
 
 Assignment = tuple[int, ...]
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # text form
 
 # Condition names reported by the minimality checkers (and the CLI).
 COND_NO_ONE_NEXT_TO_TWO = "N[V2]∩V1"
@@ -33,7 +34,7 @@ def parse_assignment(text: str, n: int) -> Assignment:
 
 
 def format_assignment(f: Assignment) -> str:
-    return "".join(str(v) for v in f)
+    return bytes(f).translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from romandom import (Graph, enumerate_minimal_rdf_refined, gen_c5_copies,
-                      gen_cycle, gen_null, gen_random, gen_star, is_minimal_rdf)
+                      gen_cycle, gen_disjoint_union, gen_null, gen_random,
+                      gen_star, is_minimal_rdf)
 import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
                                    RULE_V0, RULE_V2,
@@ -267,6 +268,70 @@ def test_seeded_reductions_match_full(monkeypatch):
     assert any(b is not None for b in checked)
 
 
+# The list-based rule bodies the bit-set rules of enum_refined replaced,
+# kept as an independent reference: each reads the labels and the counts.
+
+def _ref_lpn(adj, labels, counts, v):
+    if labels[v] != 2:
+        return ()
+    cand = [u for u in adj[v] if labels[u] in (ACTIVE, NOT_TWO)]
+    return ((cand[0], 0),) if len(cand) == 1 else ()
+
+
+def _ref_v0(adj, labels, counts, v):
+    if labels[v] != 0 or counts[v] != 1:
+        return ()
+    changes = _ref_bar_two_around(adj, labels, v)
+    if not changes:
+        return ()
+    for u in adj[v]:
+        if labels[u] == 2:
+            break
+    if any(counts[x] < 2 for x in adj[u]
+           if x != v and labels[x] in (0, NOT_ONE, NOT_TWO)):
+        return ()
+    return changes
+
+
+def _ref_v1(adj, labels, counts, v):
+    return _ref_bar_two_around(adj, labels, v) if labels[v] == 1 else ()
+
+
+def _ref_bar_two_around(adj, labels, v):
+    return tuple((w, NOT_TWO if labels[w] == ACTIVE else 0)
+                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_ONE))
+
+
+def _ref_v2(adj, labels, counts, v):
+    if labels[v] != 2:
+        return ()
+    return tuple((w, NOT_ONE if labels[w] == ACTIVE else 0)
+                 for w in sorted(adj[v]) if labels[w] in (ACTIVE, NOT_TWO))
+
+
+def _ref_npd(adj, labels, counts, v):
+    if labels[v] == NOT_TWO and all(labels[u] in (NOT_TWO, 0, 1)
+                                    for u in adj[v]):
+        return ((v, 1),)
+    return ()
+
+
+def _ref_npn(adj, labels, counts, v):
+    if labels[v] == ACTIVE and all(labels[u] in (0, NOT_ONE) for u in adj[v]):
+        return ((v, NOT_TWO),)
+    return ()
+
+
+def _ref_isolate(adj, labels, counts, v):
+    if labels[v] == NOT_ONE and not any(labels[u] == NOT_TWO for u in adj[v]):
+        return ((v, 0),)
+    return ()
+
+
+_REF_TESTS = (_ref_lpn, _ref_v0, _ref_v1, _ref_v2, _ref_npd, _ref_npn,
+              _ref_isolate)
+
+
 def _scan_reductions(adj, labels):
     # The scan semantics the worklist replays: after every step, restart
     # from the first rule and the lowest vertex; Isolate only once nothing
@@ -274,7 +339,7 @@ def _scan_reductions(adj, labels):
     steps = []
     while True:
         counts = two_counts(adj, [v for v, x in enumerate(labels) if x == 2])
-        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS):
+        for rule, test in zip(enum_refined._RULES, _REF_TESTS):
             if rule == RULE_ISOLATE and ACTIVE in labels:
                 continue
             hit = next(filter(None, (test(adj, labels, counts, v)
@@ -286,6 +351,28 @@ def _scan_reductions(adj, labels):
         for w, new in hit:
             steps.append((rule, w, labels[w], new))
             labels[w] = new
+
+
+def test_rule_bitsets_match_reference():
+    # every bit-set rule, at every vertex of random labellings, makes the
+    # relabels of its list-based reference, in the same order
+    rng = random.Random(41)
+    fired = set()
+    for _ in range(300):
+        g = gen_random(rng.randint(1, 10), rng.choice((0.2, 0.35, 0.5)),
+                       rng.randrange(10**6))
+        labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
+        counts = two_counts(g.adj, [v for v, x in enumerate(labels) if x == 2])
+        state = enum_refined.SearchState(g.adj, Grdf(labels))
+        for rule, test, ref in zip(enum_refined._RULES, enum_refined._TESTS,
+                                   _REF_TESTS):
+            for v in range(g.n):
+                got = test(labels, state.masks, state.nbr, state.c1, v)
+                expected = ref(g.adj, labels, counts, v)
+                assert tuple(got) == expected, (rule, v, labels)
+                if expected:
+                    fired.add(rule)
+    assert fired == set(enum_refined._RULES)
 
 
 def test_reductions_match_scan_on_random_labellings():
@@ -338,6 +425,17 @@ def test_refined_star_is_fast():
         best = min(best, time.perf_counter() - start)
         assert (stats.solutions, stats.tree_nodes) == (402, 803)
     assert best < 2.0
+
+
+def test_refined_past_one_machine_word():
+    # vertex ids up to 75 in the bit sets; by the product law the count is
+    # 16 (C5) times 72 (the star with 70 rays)
+    g = gen_disjoint_union([gen_cycle(5), gen_star(70)])
+    out, stats = _run(g)
+    assert (g.n, stats.solutions, stats.tree_nodes, stats.max_gap) == (
+        76, 1152, 2375, 3)
+    assert len(out) == 1152 == 16 * 72 and len(set(out)) == len(out)
+    assert all(is_minimal_rdf(g, f) for f in out)
 
 
 def test_refined_rule_fires_and_prunes():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from romandom import (closed_neighborhood, gen_cycle, gen_null, gen_random,
 from romandom.graph import Graph
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
-                          COND_PRIVACY, level_sets, minimality_report,
-                          parse_assignment)
+                          COND_PRIVACY, format_assignment, level_sets,
+                          minimality_report, parse_assignment)
 
 
 def test_weight_star_center_two():
@@ -110,6 +111,16 @@ def test_parse_assignment_round_trip():
         parse_assignment("2013", 4)
     with pytest.raises(ValueError):
         parse_assignment("20", 3)
+
+
+def test_format_assignment_round_trip():
+    rng = random.Random(13)
+    for n in range(41):
+        f = tuple(rng.randrange(3) for _ in range(n))
+        text = format_assignment(f)
+        assert text == "".join(str(v) for v in f)
+        assert parse_assignment(text, n) == f
+    assert format_assignment([2, 0, 1]) == "201"
 
 
 def test_level_sets_partition():

@@ -49,7 +49,7 @@ from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
 from .grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, measure,
                    violated_invariants)
-from .rdf import Assignment, two_counts
+from .rdf import Assignment, nbr_masks, two_counts
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -96,7 +96,7 @@ class SearchState(Grdf):
     def __init__(self, adj: Adjacency, grdf: Grdf,
                  counts: list[int] | None = None):
         self.labels, self.masks, self.adj = grdf.labels, grdf.masks, adj
-        self.nbr = [sum(1 << u for u in adj[v]) for v in range(len(adj))]
+        self.nbr = nbr_masks(adj)
         self.counts = counts if counts is not None else two_counts(
             adj, [v for v, x in enumerate(self.labels) if x == 2])
         self.c1 = sum(1 << v for v, c in enumerate(self.counts) if c == 1)

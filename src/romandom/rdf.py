@@ -84,6 +84,11 @@ def two_counts(adj: tuple[frozenset[int], ...],
     return c
 
 
+def nbr_masks(adj: tuple[frozenset[int], ...]) -> list[int]:
+    """The open neighborhood of every vertex as a bit set (bit u = vertex u)."""
+    return [sum(1 << u for u in near) for near in adj]
+
+
 def rdf_from_counts(c: list[int], v2: Iterable[int]) -> Assignment:
     """The rdf with 2-set ``v2``: 0 on the rest of N[v2], 1 outside it.
 

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from romandom import (Graph, enumerate_minimal_rdf_refined, gen_c5_copies,
-                      gen_cycle, gen_disjoint_union, gen_null, gen_random,
-                      gen_star, is_minimal_rdf)
+from romandom import (Graph, enumerate_minimal_rdf_refined,
+                      enumerate_minimal_rdf_simple, gen_c5_copies, gen_cycle,
+                      gen_disjoint_union, gen_null, gen_random, gen_star,
+                      is_minimal_rdf)
 import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
                                    RULE_V0, RULE_V2,
@@ -185,6 +186,19 @@ def test_refined_random_graphs_with_assertions():
         out, stats = _run(g, assert_invariants=True)
         assert sorted(out) == brute_minimal_rdfs(g)
         assert stats.max_gap <= 2 * g.n
+
+
+@pytest.mark.parametrize("n, seed", [(16, 1), (16, 2), (18, 1), (18, 2),
+                                     (20, 1), (20, 2)])
+def test_refined_matches_sweep_beyond_oracle(n, seed):
+    # past the oracle's n <= 12 the pruned subset sweep is the reference
+    g = gen_random(n, 0.2, seed)
+    out, stats = _run(g)
+    sweep = []
+    enumerate_minimal_rdf_simple(g, sweep.append)
+    assert sorted(out) == sorted(sweep) and len(set(out)) == len(out)
+    assert stats.max_gap <= 2 * n
+    assert stats.tree_nodes <= 50 * 1.9332 ** n
 
 
 def test_reduction_soundness_against_oracle(monkeypatch):

@@ -1,14 +1,92 @@
-from romandom import (enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
-                      extend_from_v2, gen_c5_copies, gen_null, gen_star,
-                      is_minimal_rdf, is_po_minimal_rdf)
+import random
+import time
+
+import pytest
+
+from romandom import (EnumStats, ExtensionInstance,
+                      enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
+                      extend_from_v2, gen_c5_copies, gen_cycle, gen_ext_po_rd,
+                      gen_null, gen_random, gen_star, is_minimal_rdf,
+                      is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import format_assignment, level_sets
+from romandom.rdf import (format_assignment, level_sets, rdf_from_counts,
+                          two_counts)
 
 
 def _collect(enumerator, g):
     out = []
     stats = enumerator(g, out.append)
     return out, stats
+
+
+def _sweep_reference(g, sink):
+    # The subset sweep before the pruned walk: extend_from_v2 on every mask
+    # of at most n/2 members, in ascending order.
+    stats = EnumStats()
+    n = g.n
+    gap = 0
+    for mask in range(1 << n):
+        if mask.bit_count() > n // 2:
+            continue
+        stats.tree_nodes += 1
+        gap += 1
+        f = extend_from_v2(g, (v for v in range(n) if mask >> v & 1))
+        if f is not None:
+            sink(f)
+            stats.solutions += 1
+            stats.max_gap = max(stats.max_gap, gap)
+            gap = 0
+    stats.max_gap = max(stats.max_gap, gap)
+    return stats
+
+
+def _po_walk_reference(g, sink):
+    # The PO walk before the bit-set walker: recursive, with the PO
+    # extension solver deciding every child.
+    stats = EnumStats()
+    n = g.n
+    included: set[int] = set()
+    excluded: set[int] = set()
+    gap = 0
+
+    def viable() -> bool:
+        values = tuple(2 if v in included else 0 for v in range(n))
+        inst = ExtensionInstance(g, values, frozenset(excluded))
+        return gen_ext_po_rd(inst) is not None
+
+    def walk(depth: int) -> None:
+        nonlocal gap
+        stats.tree_nodes += 1
+        if depth == n:
+            sink(rdf_from_counts(two_counts(g.adj, included), included))
+            stats.solutions += 1
+            stats.max_gap = max(stats.max_gap, gap)
+            gap = 0
+            return
+        gap += 1
+        excluded.add(depth)
+        if viable():
+            walk(depth + 1)
+        excluded.remove(depth)
+        included.add(depth)
+        if viable():
+            walk(depth + 1)
+        included.remove(depth)
+
+    walk(0)
+    stats.max_gap = max(stats.max_gap, gap)
+    return stats
+
+
+def _assert_same_as_reference(g):
+    for enumerator, reference in (
+            (enumerate_minimal_rdf_simple, _sweep_reference),
+            (enumerate_po_minimal_simple, _po_walk_reference)):
+        out, stats = _collect(enumerator, g)
+        ref_out, ref = _collect(reference, g)
+        assert out == ref_out
+        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
+            ref.solutions, ref.tree_nodes, ref.max_gap)
 
 
 def test_extend_from_v2_c5(c5):
@@ -84,3 +162,67 @@ def test_po_matches_oracle_and_delay(catalog5):
         assert len(set(out)) == len(out)
         assert all(is_po_minimal_rdf(g, f) for f in out)
         assert stats.max_gap <= 2 * g.n
+
+
+def test_walks_match_references_on_catalog(catalog6):
+    for g in catalog6:
+        _assert_same_as_reference(g)
+
+
+def test_walks_match_references_on_random_graphs():
+    rng = random.Random(23)
+    for n in range(1, 15):
+        for p in (0.2, 0.5):
+            _assert_same_as_reference(gen_random(n, p, rng.randrange(10**6)))
+
+
+@pytest.mark.parametrize("g", [gen_star(12), gen_null(12), gen_c5_copies(3),
+                               gen_cycle(14)],
+                         ids=["star12", "null12", "c5pow3", "cycle14"])
+def test_walks_match_references_on_families(g):
+    _assert_same_as_reference(g)
+
+
+@pytest.mark.parametrize("g, sweep, po", [
+    (gen_c5_copies(3), (4096, 16384, 1812), (4096, 10921, 15)),
+    (gen_cycle(14), (1492, 9908, 1003), (1893, 5219, 14)),
+], ids=["c5pow3", "cycle14"])
+def test_walk_stats_golden(g, sweep, po):
+    # (solutions, tree_nodes, max_gap) of the mask sweep and the PO walk
+    # that the pruned walk replaced
+    for enumerator, expected in ((enumerate_minimal_rdf_simple, sweep),
+                                 (enumerate_po_minimal_simple, po)):
+        stats = enumerator(g, lambda f: None)
+        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == expected
+
+
+class _Enough(Exception):
+    pass
+
+
+def test_po_walk_has_no_recursion_limit():
+    # 1201 levels are past the default recursion limit of 1000
+    g = gen_star(1200)
+    out = []
+
+    def sink(f):
+        out.append(f)
+        if len(out) == 3:
+            raise _Enough
+
+    with pytest.raises(_Enough):
+        enumerate_po_minimal_simple(g, sink)
+    assert out[0] == (1,) * 1201 and len(set(out)) == 3
+    assert all(is_po_minimal_rdf(g, f) for f in out)
+
+
+def test_sweep_prunes_dead_two_sets():
+    # the full mask sweep takes about 7 s here; the pruned walk 0.07 s
+    g = gen_random(20, 0.2, 7)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        stats = enumerate_minimal_rdf_simple(g, lambda f: None)
+        best = min(best, time.perf_counter() - start)
+        assert stats.solutions == 6669
+    assert best < 1.0

@@ -9,7 +9,7 @@ that guarantees polynomial delay, polynomial space and no duplicates.
 
 from .enum_refined import enumerate_minimal_rdf_refined
 from .enum_simple import (enumerate_minimal_rdf_simple,
-                          enumerate_po_minimal_simple, extend_from_v2)
+                          enumerate_po_minimal_simple)
 from .extension import (ExtensionInstance, ext_po_rd, ext_rd, gen_ext_po_rd,
                         gen_ext_rd, project_grdf)
 from .graph import (Graph, closed_neighborhood, gen_c5_copies, gen_cycle,
@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_po_minimal_simple",
     "ext_po_rd",
     "ext_rd",
-    "extend_from_v2",
     "format_assignment",
     "gen_c5_copies",
     "gen_cycle",

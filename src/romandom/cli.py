@@ -46,10 +46,15 @@ def _load_graph(path: str) -> Graph:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _run_enumeration(g: Graph, mode: str, order: str,
-                     assert_invariants: bool, sink) -> EnumStats:
+def _check_mode(mode: str, order: str) -> None:
+    if mode not in ("simple", "refined", "oracle"):
+        raise UsageError(f"unknown mode {mode!r}")
     if mode == "refined" and order == "po":
         raise UsageError("refined mode supports the standard order only")
+
+
+def _run_enumeration(g: Graph, mode: str, order: str, sink) -> EnumStats:
+    _check_mode(mode, order)
     if mode == "oracle":
         start = time.perf_counter()
         try:
@@ -65,11 +70,7 @@ def _run_enumeration(g: Graph, mode: str, order: str,
         if order == "po":
             return enumerate_po_minimal_simple(g, sink)
         return enumerate_minimal_rdf_simple(g, sink)
-    if mode == "refined":
-        return enumerate_minimal_rdf_refined(
-            g, sink, assert_invariants=assert_invariants
-        )
-    raise UsageError(f"unknown mode {mode!r}")
+    return enumerate_minimal_rdf_refined(g, sink)
 
 
 def _cmd_enumerate(args) -> int:
@@ -85,8 +86,7 @@ def _cmd_enumerate(args) -> int:
         else:
             print(line, flush=True)
 
-    stats = _run_enumeration(g, args.mode, args.order,
-                             args.assert_invariants, sink)
+    stats = _run_enumeration(g, args.mode, args.order, sink)
     if args.count_only:
         print(stats.solutions)
     elif args.sorted:
@@ -191,15 +191,14 @@ def _cmd_bench(args) -> int:
     if not modes:
         raise UsageError("empty mode list")
     for mode in modes:
-        if mode not in ("simple", "refined", "oracle"):
-            raise UsageError(f"unknown mode {mode!r}")
+        _check_mode(mode, args.order)
     graphs = _bench_instances(args.family)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
                      "wall_ms"])
     for g in graphs:
         for mode in modes:
-            stats = _run_enumeration(g, mode, args.order, False, lambda f: None)
+            stats = _run_enumeration(g, mode, args.order, lambda f: None)
             writer.writerow([g.n, mode, stats.solutions, stats.tree_nodes,
                              stats.max_gap, stats.wall_ms])
             sys.stdout.flush()
@@ -225,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="collect and sort output lines (disables streaming)")
     p.add_argument("--stats", choices=["json"],
                    help="emit run statistics to stderr")
-    p.add_argument("--assert-invariants", action="store_true",
-                   help="enable internal state assertions (refined mode)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("extend", help="extension query with witness")

@@ -28,9 +28,10 @@ new of w enables, by the label of each neighbor x,
 
 and at w itself V0 (a new 0 with one 2-neighbor) or NPD (a new not-2).
 V0, V1 and V2 never need a neighbor's pend, as :func:`apply_reductions`
-explains.  The extension test is local too: the search keeps the closed
-2-neighbor counts, and only 2-vertices near a new 2 can lose a private
-neighbor.
+explains.  The extension test is local too: the search keeps the bit
+sets ``once``/``twice`` of the vertices dominated by at least one/two
+2-vertices, the primitive of the subset walk in :mod:`.enum_simple`, and
+only 2-vertices near a new 2 can lose a private neighbor.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
 The search state is kept in place as the bit sets of
@@ -49,7 +50,7 @@ from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
 from .grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, measure,
                    violated_invariants)
-from .rdf import Assignment, nbr_masks, two_counts
+from .rdf import Assignment, nbr_masks
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -87,35 +88,28 @@ def undo(trace: ReductionTrace, grdf: Grdf) -> None:
 class SearchState(Grdf):
     """A grdf (sharing its labels and masks) with the search's kept state.
 
-    ``nbr[v]`` is the neighborhood of v as a bit set, ``counts`` the closed
-    2-neighbor counts of ``rdf.two_counts`` and ``c1`` the bit set of the
-    vertices with count 1.  No rule creates a 2, so only
-    :meth:`shift_counts`, at a set branch and its restore, changes them.
+    ``nbr[v]`` is the neighborhood of v as a bit set.  ``once`` and
+    ``twice`` are the vertices with at least one and at least two
+    2-vertices in their closed neighborhood, and ``c1 = once & ~twice``
+    those with exactly one, its private neighbors.  No rule creates a 2,
+    so only a set branch and its restore change them.
     """
 
-    def __init__(self, adj: Adjacency, grdf: Grdf,
-                 counts: list[int] | None = None):
-        self.labels, self.masks, self.adj = grdf.labels, grdf.masks, adj
+    def __init__(self, adj: Adjacency, grdf: Grdf):
+        self.labels, self.masks = grdf.labels, grdf.masks
         self.nbr = nbr_masks(adj)
-        self.counts = counts if counts is not None else two_counts(
-            adj, [v for v, x in enumerate(self.labels) if x == 2])
-        self.c1 = sum(1 << v for v, c in enumerate(self.counts) if c == 1)
-
-    def shift_counts(self, v: int, by: int) -> None:
-        """Add ``by`` (1 or -1) to the counts on N[v], for a 2 at v."""
-        counts = self.counts
-        for u in (v, *self.adj[v]):
-            count = counts[u] + by
-            counts[u] = count
-            if count == 1 or count == 1 + by:
-                self.c1 ^= 1 << u
+        once = twice = 0
+        for v, x in enumerate(self.labels):
+            if x == 2:
+                near = self.nbr[v] | 1 << v
+                twice |= once & near
+                once |= near
+        self.once, self.twice, self.c1 = once, twice, once & ~twice
 
 
-def _kept(adj: Adjacency, grdf: Grdf,
-          counts: list[int] | None = None) -> SearchState:
+def _kept(adj: Adjacency, grdf: Grdf) -> SearchState:
     # A run's own state, or one built around a plain grdf.
-    return (grdf if isinstance(grdf, SearchState)
-            else SearchState(adj, grdf, counts))
+    return grdf if isinstance(grdf, SearchState) else SearchState(adj, grdf)
 
 
 def _around(nbr: list[int], vertices: int) -> int:
@@ -173,7 +167,8 @@ def _v0(labels, masks, nbr, c1, v):
     # A 0-vertex with a unique 2-neighbor u is u's only possible private
     # neighbor (provided u's other undecided neighbors are all dominated
     # twice); no other neighbor of the 0-vertex may take the value 2.
-    # A blocker next to the 2-vertex u has count 1 or more.
+    # A blocker next to the 2-vertex u is dominated by u, so outside c1
+    # it is dominated twice.
     if labels[v] != 0 or not c1 >> v & 1:
         return ()
     near = nbr[v]
@@ -258,8 +253,8 @@ def _pend_moved(pending: int, masks: list[int], nbr: list[int], c1: int,
 
 
 def apply_reductions(adj: Adjacency, grdf: Grdf,
-                     counts: list[int] | None = None,
-                     branch: tuple[int, int] | None = None) -> ReductionTrace:
+                     branch: tuple[int, int, int] | None = None
+                     ) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
 
     Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
@@ -278,24 +273,23 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     from NPD, whose neighbors are all in {not-2, 0, 1}, so a new 1 has
     no V1 targets.  V0's side condition at v, with u
     the 2-neighbor of v, needs each blocker x in N(u) (a 0, not-1 or
-    not-2 vertex) to have count at least 2; the counts are fixed here,
-    and a rule could move a blocker out of its class only as not-2 -> 1,
-    which NPD cannot do next to the 2-vertex u.
+    not-2 vertex) to be in ``twice``; the 2-set is fixed here, and a rule
+    could move a blocker out of its class only as not-2 -> 1, which NPD
+    cannot do next to the 2-vertex u.
 
-    ``grdf`` is either a run's :class:`SearchState`, whose ``counts``
-    must be passed as ``counts``, or a plain grdf, around which the bit
-    sets are built.  ``counts`` holds the closed 2-neighbor counts of
-    ``rdf.two_counts``; no rule creates a 2, so they stay fixed here.
-    With ``branch = (b, old)`` the grdf must be a fixpoint except at b,
-    just relabelled from ``old`` by a branch (which also updated the
-    counts if it set a 2).  The branch pends as a relabel does; a set
-    branch also pends LPN and V2 at b, and V0 wherever a blocker went
-    away: where a count rose to 2, and next to the 2-neighbors of b if b
-    was a not-1 blocker.  Otherwise every vertex is pended and the counts
-    are computed if not given.  Returns the trace needed to undo the
-    relabelings.
+    ``grdf`` is either a run's :class:`SearchState` or a plain grdf,
+    around which the bit sets are built; no rule creates a 2, so
+    ``once`` and ``twice`` stay fixed here.  With ``branch = (b, old,
+    c1)`` the grdf must be a fixpoint except at b, just relabelled from
+    ``old`` by a branch, and ``c1`` is the parent's (a set branch has
+    already added b to ``once``/``twice``).  The branch pends as a
+    relabel does; a set branch also pends LPN and V2 at b, and V0
+    wherever a blocker went away: next to the 2-neighbors of each
+    blocker in N(b) that ``c1`` held, now dominated twice, and next to
+    the 2-neighbors of b if b was a not-1 blocker.  Otherwise every
+    vertex is pended.  Returns the trace needed to undo the relabelings.
     """
-    state = _kept(adj, grdf, counts)
+    state = _kept(adj, grdf)
     labels, masks, nbr, c1 = state.labels, state.masks, state.nbr, state.c1
     n = len(labels)
     trace = ReductionTrace()
@@ -306,21 +300,19 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
             masks[2], masks[0] & c1, masks[1], masks[2], masks[NOT_TWO],
             masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
-        b, old = branch
+        b, old, c1_before = branch
         pending = 0
         if old == ACTIVE and not masks[ACTIVE]:
             pending = masks[NOT_ONE] << _ISOLATE * n
         pending = _pend_moved(pending, masks, nbr, c1, n, b, old, labels[b])
         if labels[b] == 2:
             pending |= 1 << _LPN * n + b | 1 << _V2 * n + b
-            # The counts rose by one on N[b]: a blocker of V0 went away
-            # where a count reached 2, and at b if it was not-1.
+            # A blocker of V0 went away where b's 2 made a private
+            # neighbor dominated twice, and at b if it was not-1.
             blockers = masks[0] | masks[NOT_ONE] | masks[NOT_TWO]
-            counts = state.counts
-            freed = nbr[b] if old == NOT_ONE else 0
-            for x in adj[b]:
-                if counts[x] == 2 and blockers >> x & 1:
-                    freed |= nbr[x]
+            freed = _around(nbr, nbr[b] & c1_before & blockers)
+            if old == NOT_ONE:
+                freed |= nbr[b]
             pending |= (_around(nbr, freed & masks[2]) & masks[0] & c1
                         ) << _V0 * n
 
@@ -432,7 +424,7 @@ class RefinedEnumerator:
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
-        self.grdf = SearchState(g.adj, Grdf.all_active(g.n), [0] * g.n)
+        self.grdf = SearchState(g.adj, Grdf.all_active(g.n))
         self.stats = EnumStats()
         self._gap = 0
 
@@ -485,24 +477,28 @@ class RefinedEnumerator:
                         f"phase {done} properties violated"
                     )
         labels = grdf.labels
-        counts = grdf.counts
         fires = self.stats.rule_fires
         old = labels[v]
+        once, twice, c1 = grdf.once, grdf.twice, grdf.c1
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
-        seed = (v, old) if last_priority else None
+        seed = (v, old, c1) if last_priority else None
         for deny in (False, True):
             if deny:
                 branch_deny_two(grdf, v)
             else:
                 branch_set_two(grdf, v)
-                grdf.shift_counts(v, 1)
-            trace = apply_reductions(adj, grdf, counts, seed)
+                near = grdf.nbr[v] | 1 << v
+                grdf.twice = twice | once & near
+                grdf.once = once | near
+                grdf.c1 = grdf.once & ~grdf.twice
+            trace = apply_reductions(adj, grdf, seed)
             for step in trace.steps:
                 fires[step[0]] = fires.get(step[0], 0) + 1
-            # A deny keeps the 2-set and the counts of the parent, which
-            # passed the test; by I2 no 1 is next to a 2 at a fixpoint, so
-            # the solver's saturation step changes nothing either.
+            # A deny keeps the 2-set and the kept state of the parent,
+            # which passed the test; by I2 no 1 is next to a 2 at a
+            # fixpoint, so the solver's saturation step changes nothing
+            # either.
             alive = deny or self._private_near(v)
             child_measure = None
             if self.assert_invariants:
@@ -512,8 +508,9 @@ class RefinedEnumerator:
                     "fixpoint edge conditions violated"
                 )
                 kept = SearchState(adj, Grdf(list(labels)))
-                assert (masks, counts, grdf.c1) == (
-                    kept.masks, kept.counts, kept.c1), "kept state out of step"
+                assert (masks, grdf.once, grdf.twice, grdf.c1) == (
+                    kept.masks, kept.once, kept.twice, kept.c1), (
+                    "kept state out of step")
                 child_measure = measure(grdf)
                 assert parent_measure is None or child_measure < parent_measure
                 assert alive == (
@@ -525,20 +522,17 @@ class RefinedEnumerator:
                 self.stats.prunes += 1
             undo(trace, grdf)
             grdf.relabel(v, old)
-            if not deny:
-                grdf.shift_counts(v, -1)
+            grdf.once, grdf.twice, grdf.c1 = once, twice, c1
 
     def _private_near(self, b: int) -> bool:
         """The extension test after setting b to 2, from the parent's pass.
 
         Only 2-vertices within distance 2 of b can have lost their last
-        private neighbor (a neighbor with count 1), and b needs one too.
+        private neighbor (a neighbor in ``c1``), and b needs one too.
         """
         grdf = self.grdf
         nbr, c1 = grdf.nbr, grdf.c1
-        ball = 1 << b
-        for x in (b, *self.graph.adj[b]):
-            ball |= nbr[x]
+        ball = _around(nbr, nbr[b]) | nbr[b] | 1 << b
         twos = ball & grdf.masks[2]
         while twos:
             low = twos & -twos

@@ -17,27 +17,13 @@ from __future__ import annotations
 import time
 from itertools import accumulate
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable
 
 from .graph import Graph
-from .rdf import Assignment, nbr_masks, rdf_from_counts, two_counts
+from .rdf import Assignment, nbr_masks
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
-
-
-def extend_from_v2(g: Graph, v2: Iterable[int]) -> Assignment | None:
-    """The unique minimal rdf whose 2-set is ``v2``, or None.
-
-    It exists iff every member of ``v2`` keeps a private neighbor besides
-    itself; then vertices outside N[v2] get 1 and the rest of N[v2] gets 0.
-    """
-    v2set = set(v2)
-    c = two_counts(g.adj, v2set)
-    for v in v2set:
-        if not any(c[u] == 1 for u in g.adj[v]):
-            return None
-    return rdf_from_counts(c, v2set)
 
 
 def _walk(g: Graph, sink: Sink, po: bool) -> EnumStats:

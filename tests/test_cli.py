@@ -203,3 +203,11 @@ def test_bench_bad_family(capsys):
     assert main(["bench", "--family", "tree:1:2", "--modes", "simple"]) == 2
     assert main(["bench", "--family", "c5pow:a:3", "--modes", "simple"]) == 2
     assert main(["bench", "--family", "cycle:1:3", "--modes", "simple"]) == 2
+
+
+def test_bench_refined_po_rejected_before_output(capsys):
+    # the simple row must not go out before refined is refused
+    assert main(["bench", "--family", "c5pow:1:2", "--modes", "simple,refined",
+                 "--order", "po"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "standard order only" in err

@@ -259,15 +259,16 @@ def test_reduction_steps_golden(monkeypatch, g, count, digest):
 
 
 def test_seeded_reductions_match_full(monkeypatch):
-    # a call seeded at the branch vertex, with the kept counts, relabels
-    # exactly as a call that pends every vertex and recounts
+    # a call seeded at the branch vertex, with the kept once/twice, relabels
+    # exactly as a call that pends every vertex and rebuilds them
     checked = []
 
-    def compare(adj, grdf, counts, branch):
+    def compare(adj, grdf, branch):
         state = list(grdf.labels)
-        assert counts == two_counts(
-            adj, [v for v, x in enumerate(state) if x == 2])
-        trace = apply_reductions(adj, grdf, counts, branch)
+        fresh = enum_refined.SearchState(adj, Grdf(list(state)))
+        assert (grdf.once, grdf.twice, grdf.c1) == (
+            fresh.once, fresh.twice, fresh.c1)
+        trace = apply_reductions(adj, grdf, branch)
         full = Grdf(state)
         assert apply_reductions(adj, full).steps == trace.steps
         assert full.labels == grdf.labels
@@ -378,6 +379,9 @@ def test_rule_bitsets_match_reference():
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         counts = two_counts(g.adj, [v for v, x in enumerate(labels) if x == 2])
         state = enum_refined.SearchState(g.adj, Grdf(labels))
+        assert [(state.once >> v & 1, state.twice >> v & 1, state.c1 >> v & 1)
+                for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
+                                         for c in counts]
         for rule, test, ref in zip(enum_refined._RULES, enum_refined._TESTS,
                                    _REF_TESTS):
             for v in range(g.n):
@@ -410,13 +414,13 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch):
     # scan does from the same state
     calls = []
 
-    def compare(adj, grdf, *args):
+    def compare(adj, grdf, branch):
         expected = list(grdf.labels)
         scan = _scan_reductions(adj, expected)
-        trace = apply_reductions(adj, grdf, *args)
+        trace = apply_reductions(adj, grdf, branch)
         assert trace.steps == scan
         assert grdf.labels == expected
-        calls.append(args[1])
+        calls.append(branch)
         return trace
 
     monkeypatch.setattr(enum_refined, "apply_reductions", compare)

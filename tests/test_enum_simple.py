@@ -5,7 +5,7 @@ import pytest
 
 from romandom import (EnumStats, ExtensionInstance,
                       enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
-                      extend_from_v2, gen_c5_copies, gen_cycle, gen_ext_po_rd,
+                      ext_rd, gen_c5_copies, gen_cycle, gen_ext_po_rd,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
@@ -20,8 +20,9 @@ def _collect(enumerator, g):
 
 
 def _sweep_reference(g, sink):
-    # The subset sweep before the pruned walk: extend_from_v2 on every mask
-    # of at most n/2 members, in ascending order.
+    # The subset sweep before the pruned walk: the extension of the
+    # assignment that is 2 on the mask and 0 elsewhere, for every mask of
+    # at most n/2 members, in ascending order.
     stats = EnumStats()
     n = g.n
     gap = 0
@@ -30,7 +31,7 @@ def _sweep_reference(g, sink):
             continue
         stats.tree_nodes += 1
         gap += 1
-        f = extend_from_v2(g, (v for v in range(n) if mask >> v & 1))
+        f = ext_rd(g, tuple(2 if mask >> v & 1 else 0 for v in range(n)))
         if f is not None:
             sink(f)
             stats.solutions += 1
@@ -87,18 +88,6 @@ def _assert_same_as_reference(g):
         assert out == ref_out
         assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
             ref.solutions, ref.tree_nodes, ref.max_gap)
-
-
-def test_extend_from_v2_c5(c5):
-    assert extend_from_v2(c5, {0}) == (2, 0, 1, 1, 0)
-
-
-def test_extend_from_v2_empty_set(c5):
-    assert extend_from_v2(c5, set()) == (1, 1, 1, 1, 1)
-
-
-def test_extend_from_v2_privacy_failure(p2):
-    assert extend_from_v2(p2, {0, 1}) is None
 
 
 def test_simple_c5_count(c5):

@@ -3,7 +3,9 @@
 Given a graph and an assignment f, decide whether some minimal rdf lies
 above f, and produce one as a witness.  Variants: a forbidden set of
 vertices that must not end up with value 2, and the PO order.  All run
-in O(n + m) time.
+in O(n + m) time: the O(n) part is C-level work on sequences (index
+scans of f, ``[1] * n``), and Python loops touch only N[V2], O(|V2| +
+vol(V2)) for the 2-set V2 after saturation.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .graph import Graph
 from .grdf import Grdf, NOT_TWO
-from .rdf import Assignment, rdf_from_counts, two_counts
+from .rdf import Assignment, lonely_twos, two_counts, two_set
 
 
 @dataclass(frozen=True)
@@ -24,49 +26,53 @@ class ExtensionInstance:
     forbidden: frozenset[int]
 
     def __post_init__(self):
-        if len(self.values) != self.graph.n:
-            raise ValueError("assignment length does not match graph order")
-        clash = {v for v in self.forbidden if self.values[v] == 2}
-        if clash:
-            raise ValueError(
-                f"forbidden set intersects the 2-set of the assignment: {sorted(clash)}"
-            )
+        v2 = two_set(self.graph, self.values)
+        if not self.forbidden.isdisjoint(v2):
+            raise ValueError("forbidden set intersects the 2-set of the "
+                             f"assignment: {sorted(self.forbidden & set(v2))}")
 
 
 def _solve(g: Graph, f: Assignment, forbidden: frozenset[int],
            po: bool) -> Assignment | None:
     adj = g.adj
-    out = list(f)
-    m2 = [v for v, x in enumerate(f) if x == 2]
+    m2 = two_set(g, f)
 
     if po:
         # Under the PO order a 1-valued vertex can never be raised to 2, so
         # a 1-vertex next to a 2-vertex already rules out every witness:
         # keeping it at 1 violates the no-1-next-to-2 condition.
-        if any(out[u] == 1 for v in m2 for u in adj[v]):
+        if any(f[u] == 1 for v in m2 for u in adj[v]):
             return None
     else:
         # Saturate: a 1-vertex next to a 2-vertex must itself become 2.  The
         # closure, and whether it reaches a forbidden vertex, do not depend
         # on the visit order.
+        raised = set()
         stack = list(m2)
         while stack:
             for u in adj[stack.pop()]:
-                if out[u] == 1:
+                if f[u] == 1 and u not in raised:
                     if u in forbidden:
                         return None
-                    out[u] = 2
+                    raised.add(u)
                     m2.append(u)
                     stack.append(u)
 
     # Privacy: every 2-vertex must dominate something on its own.  The PO
     # variant tests the closed neighborhood (irredundance), the standard
     # variant the open one (a private neighbor other than the vertex itself).
+    # Every neighbor of m2 outside it is a 0 by now.
     c = two_counts(adj, m2)
+    if any(not po or c[v] != 1 for v in lonely_twos(adj, f, m2, c)):
+        return None
+    # The witness: 2 on m2, 0 on the rest of N[m2], 1 elsewhere.
+    out = [1] * len(f)
     for v in m2:
-        if not (po and c[v] == 1) and not any(c[u] == 1 for u in adj[v]):
-            return None
-    return rdf_from_counts(c, m2)
+        for u in adj[v]:
+            out[u] = 0
+    for v in m2:
+        out[v] = 2
+    return tuple(out)
 
 
 def ext_rd(g: Graph, f: Assignment) -> Assignment | None:

@@ -79,24 +79,14 @@ def violated_invariants(adj: tuple[frozenset[int], ...],
     I4: a not-2 label implies some vertex is still active or not-1-labeled.
     """
     bad: list[str] = []
-    n = len(labels)
-    if any(
-        labels[v] in (0, NOT_ONE) and not any(labels[u] == 2 for u in adj[v])
-        for v in range(n)
-    ):
+    near = [{labels[u] for u in adj[v]} for v in range(len(labels))]
+    if any(x in (0, NOT_ONE) and 2 not in near[v]
+           for v, x in enumerate(labels)):
         bad.append("I1")
-    if any(
-        labels[v] == 2 and any(labels[u] not in (0, NOT_ONE, 2) for u in adj[v])
-        for v in range(n)
-    ):
+    if any(x == 2 and near[v] - {0, NOT_ONE, 2} for v, x in enumerate(labels)):
         bad.append("I2")
-    if any(
-        labels[v] == 1 and any(labels[u] not in (0, 1, NOT_TWO) for u in adj[v])
-        for v in range(n)
-    ):
+    if any(x == 1 and near[v] - {0, 1, NOT_TWO} for v, x in enumerate(labels)):
         bad.append("I3")
-    if any(x == NOT_TWO for x in labels) and not any(
-        x in (ACTIVE, NOT_ONE) for x in labels
-    ):
+    if NOT_TWO in labels and ACTIVE not in labels and NOT_ONE not in labels:
         bad.append("I4")
     return bad

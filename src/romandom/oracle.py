@@ -12,7 +12,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .rdf import Assignment
+from .rdf import Assignment, leq_po, leq_standard, nbr_masks
 
 DEFAULT_CAP = 12
 
@@ -30,25 +30,19 @@ def _check_cap(n: int, cap: int) -> None:
 
 def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
     # Returns (assignment, ones-bitmask, twos-bitmask) for every rdf.
-    adj_mask = [0] * g.n
-    for u in range(g.n):
-        for v in g.adj[u]:
-            adj_mask[u] |= 1 << v
+    adj_mask = nbr_masks(g.adj)
     out = []
     for f in product((0, 1, 2), repeat=g.n):
-        ones = 0
-        twos = 0
+        ones = twos = 0
         for v, x in enumerate(f):
             if x == 1:
                 ones |= 1 << v
             elif x == 2:
                 twos |= 1 << v
-        ok = True
         for v, x in enumerate(f):
             if x == 0 and not (adj_mask[v] & twos):
-                ok = False
                 break
-        if ok:
+        else:
             out.append((f, ones, twos))
     return out
 
@@ -97,13 +91,6 @@ def brute_ext(g: Graph, f: Assignment, forbidden: Iterable[int] = (),
     if minimal is None:
         minimal = brute_minimal_rdfs(g, order=order, cap=cap)
     forb = set(forbidden)
-    for cand in minimal:
-        if any(cand[v] == 2 for v in forb):
-            continue
-        if order == "standard":
-            above = all(a <= b for a, b in zip(f, cand))
-        else:
-            above = all(a == b or a == 0 for a, b in zip(f, cand))
-        if above:
-            return True
-    return False
+    leq = leq_standard if order == "standard" else leq_po
+    return any(leq(f, cand) and not any(cand[v] == 2 for v in forb)
+               for cand in minimal)

@@ -11,7 +11,7 @@ and 2 incomparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -59,13 +59,44 @@ def weight(f: Assignment) -> int:
     return sum(f)
 
 
+def two_set(g: Graph, f: Assignment) -> list[int]:
+    """The ids valued 2 in f, ascending, by C-level ``index`` scans of f."""
+    if len(f) != g.n:
+        raise ValueError("assignment length does not match graph order")
+    v2, v = [], -1
+    try:
+        while True:
+            v = f.index(2, v + 1)
+            v2.append(v)
+    except ValueError:
+        return v2
+
+
+def lonely_twos(adj: tuple[frozenset[int], ...], f: Assignment,
+                v2: list[int], c: list[int]) -> Iterator[int]:
+    """The ids in v2 with no 0-neighbor of count 1 (``c = two_counts(adj,
+    v2)``): no private neighbor in G[V0 u V2] other than themselves."""
+    for v in v2:
+        for u in adj[v]:
+            if c[u] == 1 and f[u] == 0:
+                break
+        else:
+            yield v
+
+
+def _census(g: Graph, f: Assignment):
+    """``(v2, c, ones, dominated)``: the 2-set of f, its ``two_counts``,
+    the 1-vertices next to it, and whether every 0-vertex has a 2-neighbor:
+    N[v2] holds ``n - c.count(0)`` vertices, v2, ``ones`` and 0s."""
+    v2 = two_set(g, f)
+    c = two_counts(g.adj, v2)
+    ones = {u for v in v2 for u in g.adj[v] if f[u] == 1}
+    return v2, c, ones, f.count(0) == g.n - c.count(0) - len(v2) - len(ones)
+
+
 def is_rdf(g: Graph, f: Assignment) -> bool:
     """True iff every 0-valued vertex has a neighbor valued 2."""
-    return all(
-        any(f[u] == 2 for u in g.adj[v])
-        for v in range(g.n)
-        if f[v] == 0
-    )
+    return _census(g, f)[3]
 
 
 def two_counts(adj: tuple[frozenset[int], ...],
@@ -89,17 +120,6 @@ def nbr_masks(adj: tuple[frozenset[int], ...]) -> list[int]:
     return [sum(1 << u for u in near) for near in adj]
 
 
-def rdf_from_counts(c: list[int], v2: Iterable[int]) -> Assignment:
-    """The rdf with 2-set ``v2``: 0 on the rest of N[v2], 1 outside it.
-
-    ``c`` is ``two_counts(adj, v2)``.
-    """
-    out = [0 if x else 1 for x in c]
-    for v in v2:
-        out[v] = 2
-    return tuple(out)
-
-
 def private_neighbors(g: Graph, d: Iterable[int], v: int) -> set[int]:
     """N[v] minus N[D \\ {v}]: vertices dominated only by v within d."""
     dset = set(d)
@@ -121,20 +141,14 @@ def minimality_report(g: Graph, f: Assignment,
     """
     if order not in ("standard", "po"):
         raise ValueError(f"unknown order {order!r}")
-    v2 = [v for v, x in enumerate(f) if x == 2]
-    c = two_counts(g.adj, v2)
+    v2, c, ones, dominated = _census(g, f)
     failed: list[str] = []
-    if any(f[u] == 1 for v in v2 for u in g.adj[v]):
+    if ones:
         failed.append(COND_NO_ONE_NEXT_TO_TWO)
-    # A private neighbor in G' other than v: a 0-vertex next to v alone.
-    # (A 2-valued neighbor of v has count >= 2.)
-    open_private = [any(c[u] == 1 and f[u] == 0 for u in g.adj[v])
-                    for v in v2]
-    if order == "standard" and not all(open_private):
+    lonely = list(lonely_twos(g.adj, f, v2, c))
+    if order == "standard" and lonely:
         failed.append(COND_PRIVACY)
-    dominated = all(c[w] for w, x in enumerate(f) if x == 0)
-    irredundant = all(p or c[v] == 1 for v, p in zip(v2, open_private))
-    if not (dominated and irredundant):
+    if not (dominated and all(c[v] == 1 for v in lonely)):
         failed.append(COND_MINIMAL_DS)
     return failed
 

@@ -9,14 +9,21 @@ from romandom import (EnumStats, ExtensionInstance,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import (format_assignment, level_sets, rdf_from_counts,
-                          two_counts)
+from romandom.rdf import format_assignment, level_sets, two_counts
 
 
 def _collect(enumerator, g):
     out = []
     stats = enumerator(g, out.append)
     return out, stats
+
+
+def _rdf_from_counts(c, v2):
+    # The rdf with 2-set v2: 0 on the rest of N[v2], 1 outside it.
+    out = [0 if x else 1 for x in c]
+    for v in v2:
+        out[v] = 2
+    return tuple(out)
 
 
 def _sweep_reference(g, sink):
@@ -59,7 +66,7 @@ def _po_walk_reference(g, sink):
         nonlocal gap
         stats.tree_nodes += 1
         if depth == n:
-            sink(rdf_from_counts(two_counts(g.adj, included), included))
+            sink(_rdf_from_counts(two_counts(g.adj, included), included))
             stats.solutions += 1
             stats.max_gap = max(stats.max_gap, gap)
             gap = 0

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
-from romandom import (ExtensionInstance, ext_po_rd, ext_rd, gen_ext_po_rd,
-                      gen_ext_rd, gen_null, gen_random, is_minimal_rdf,
-                      is_po_minimal_rdf, leq_po, leq_standard, project_grdf)
+from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
+                      gen_cycle, gen_ext_po_rd, gen_ext_rd, gen_null,
+                      gen_random, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
+                      leq_po, leq_standard, project_grdf)
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, Grdf
 from romandom.oracle import brute_ext, brute_minimal_rdfs
-from romandom.rdf import level_sets
+from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
+                          COND_PRIVACY, level_sets, minimality_report,
+                          two_counts)
 
 
 def test_ext_rd_star_all_zeros(k13):
@@ -66,6 +69,13 @@ def test_ext_po_rd_fixed_point_on_po_minimal(c5):
 def test_instance_rejects_length_mismatch(p2):
     with pytest.raises(ValueError):
         ExtensionInstance(p2, (0, 0, 0), frozenset())
+
+
+@pytest.mark.parametrize("solver", [ext_rd, ext_po_rd])
+def test_solvers_reject_length_mismatch(solver):
+    for f in ((0, 0, 0), (0,) * 7):
+        with pytest.raises(ValueError, match="does not match graph order"):
+            solver(gen_cycle(5), f)
 
 
 def test_instance_rejects_forbidden_two(p2):
@@ -139,3 +149,161 @@ def test_solvers_agree_with_oracle_sampled_forbidden():
                                                        rng.randrange(4))))
             _check_standard(g, f, forbidden, std)
             _check_po(g, f, forbidden, po)
+
+
+# List-based references for the solvers and the checkers: each scans all
+# of V in Python, copies f, and reads the witness and the domination test
+# off the whole count list.
+
+def _solve_reference(g, f, forbidden, po):
+    adj = g.adj
+    out = list(f)
+    m2 = [v for v, x in enumerate(f) if x == 2]
+    if po:
+        if any(out[u] == 1 for v in m2 for u in adj[v]):
+            return None
+    else:
+        stack = list(m2)
+        while stack:
+            for u in adj[stack.pop()]:
+                if out[u] == 1:
+                    if u in forbidden:
+                        return None
+                    out[u] = 2
+                    m2.append(u)
+                    stack.append(u)
+    c = two_counts(adj, m2)
+    for v in m2:
+        if not (po and c[v] == 1) and not any(c[u] == 1 for u in adj[v]):
+            return None
+    out = [0 if x else 1 for x in c]
+    for v in m2:
+        out[v] = 2
+    return tuple(out)
+
+
+def _report_reference(g, f, order):
+    v2 = [v for v, x in enumerate(f) if x == 2]
+    c = two_counts(g.adj, v2)
+    failed = []
+    if any(f[u] == 1 for v in v2 for u in g.adj[v]):
+        failed.append(COND_NO_ONE_NEXT_TO_TWO)
+    open_private = [any(c[u] == 1 and f[u] == 0 for u in g.adj[v])
+                    for v in v2]
+    if order == "standard" and not all(open_private):
+        failed.append(COND_PRIVACY)
+    dominated = all(c[w] for w, x in enumerate(f) if x == 0)
+    irredundant = all(p or c[v] == 1 for v, p in zip(v2, open_private))
+    if not (dominated and irredundant):
+        failed.append(COND_MINIMAL_DS)
+    return failed
+
+
+def _is_rdf_reference(g, f):
+    return all(any(f[u] == 2 for u in g.adj[v])
+               for v in range(g.n) if f[v] == 0)
+
+
+def _assert_matches_reference(g, f, forbidden):
+    """All four solvers and both checkers agree with the references on f,
+    and the checkers also on every witness."""
+    inst = ExtensionInstance(g, f, forbidden)
+    witnesses = [
+        (ext_rd(g, f), _solve_reference(g, f, frozenset(), False)),
+        (ext_po_rd(g, f), _solve_reference(g, f, frozenset(), True)),
+        (gen_ext_rd(inst), _solve_reference(g, f, forbidden, False)),
+        (gen_ext_po_rd(inst), _solve_reference(g, f, forbidden, True)),
+    ]
+    for got, want in witnesses:
+        assert got == want, (f, forbidden)
+    for h in [f] + [w for w, _ in witnesses if w is not None]:
+        for order in ("standard", "po"):
+            assert minimality_report(g, h, order) == \
+                _report_reference(g, h, order), (h, order)
+        assert is_rdf(g, h) == _is_rdf_reference(g, h), h
+
+
+def test_solvers_and_checkers_match_list_reference_small():
+    rng = random.Random(29)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        g = gen_random(n, rng.random() * 0.6, rng.randrange(10**6))
+        weights = rng.choice(((1, 1, 1), (4, 1, 1), (6, 1, 2), (2, 1, 4)))
+        f = tuple(rng.choices((0, 1, 2), weights, k=n))
+        pool = [v for v in range(n) if f[v] != 2]
+        forbidden = frozenset(rng.sample(pool, rng.randint(0, len(pool))))
+        _assert_matches_reference(g, f, forbidden)
+
+
+def _planted(n, seed):
+    """A random sparse core (a tree plus n/8 chords) and n/20 centres in
+    it, each with a pendant leaf of its own."""
+    rng = random.Random(seed)
+    k = n // 20
+    core = n - k
+    edges = [(rng.randrange(v), v) for v in range(1, core)]
+    edges += [tuple(rng.sample(range(core), 2)) for _ in range(n // 8)]
+    centres = sorted(rng.sample(range(core), k))
+    edges += [(c, core + j) for j, c in enumerate(centres)]
+    return Graph.from_edges(n, edges), centres
+
+
+def test_solvers_and_checkers_match_list_reference_planted():
+    n = 2000
+    g, centres = _planted(n, 3)
+    rng = random.Random(5)
+    twos = [0] * n
+    for c in centres:
+        twos[c] = 2
+    witness = ext_rd(g, tuple(twos))
+    assert witness is not None
+    others = [v for v in range(n) if twos[v] != 2]
+    barred = frozenset(rng.sample(others, len(others) // 10))
+    inputs = [tuple(twos), (0,) * n, witness]
+    for _ in range(3):
+        crowded = list(twos)  # a centre with no private neighbour left
+        for u in g.adj[rng.choice(centres)]:
+            crowded[u] = 2
+        one = list(twos)  # a 1 next to a centre
+        one[rng.choice(sorted(g.adj[rng.choice(centres)]))] = 1
+        perturbed = list(witness)  # a 0 raised to 1 next to a 2
+        perturbed[rng.choice(sorted(g.adj[rng.choice(centres)]))] = 1
+        inputs += [tuple(crowded), tuple(one), tuple(perturbed)]
+    for f in inputs:
+        for forbidden in (frozenset(), barred - {v for v in barred
+                                                  if f[v] == 2}):
+            _assert_matches_reference(g, f, forbidden)
+
+
+def test_large_sparse_witnesses_are_minimal():
+    # Sparse 2-sets on G(3000, 0.001): random ones (mostly NO), and packed
+    # ones, whose closed neighbourhoods are disjoint so that every 2 keeps
+    # its neighbours private, with random 1s outside N[V2] (YES).
+    n = 3000
+    g = gen_random(n, 0.001, 17)
+    rng = random.Random(17)
+    found = 0
+    for share in (100, 50, 20, 10):
+        for packed in (False, True):
+            twos, taken = [], set()
+            for v in rng.sample(range(n), n):
+                near = g.adj[v] | {v}
+                if not packed or (g.adj[v] and taken.isdisjoint(near)):
+                    twos.append(v)
+                    taken |= near
+                if len(twos) == n // share:
+                    break
+            f = [0] * n
+            if packed:
+                for v in rng.sample(range(n), n // 50):
+                    f[v] = 0 if v in taken else 1
+            for v in twos:
+                f[v] = 2
+            f = tuple(f)
+            for solver, check, leq in ((ext_rd, is_minimal_rdf, leq_standard),
+                                       (ext_po_rd, is_po_minimal_rdf, leq_po)):
+                witness = solver(g, f)
+                if witness is not None:
+                    found += 1
+                    assert leq(f, witness) and check(g, witness)
+    assert found >= 8

@@ -80,6 +80,14 @@ def test_report_names(p2):
         COND_NO_ONE_NEXT_TO_TWO, COND_MINIMAL_DS]
 
 
+@pytest.mark.parametrize("check", [minimality_report, is_minimal_rdf,
+                                   is_po_minimal_rdf, is_rdf])
+def test_checkers_reject_length_mismatch(check):
+    for f in ((0, 0, 0), (0,) * 7):
+        with pytest.raises(ValueError, match="does not match graph order"):
+            check(gen_cycle(5), f)
+
+
 def test_report_rejects_unknown_order(p2):
     with pytest.raises(ValueError):
         minimality_report(p2, (2, 0), order="pointwise")

@@ -76,6 +76,7 @@ def _run_enumeration(g: Graph, mode: str, order: str, sink) -> EnumStats:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     collected: list[str] = []
+    out = sys.stdout
 
     def sink(f):
         if args.count_only:
@@ -84,7 +85,8 @@ def _cmd_enumerate(args) -> int:
         if args.sorted:
             collected.append(line)
         else:
-            print(line, flush=True)
+            out.write(line + "\n")
+            out.flush()
 
     stats = _run_enumeration(g, args.mode, args.order, sink)
     if args.count_only:

@@ -3,10 +3,10 @@
 The search labels vertices with five-valued promises (see :mod:`.grdf`),
 alternating binary branching ("this vertex gets 2" / "it does not") with
 an exhaustive reduction pass, and prunes any branch whose state the
-extension solver proves dead.  This delivers every minimal rdf exactly
-once, with polynomial delay (at most 2n inner nodes between outputs) and
-polynomial space: label changes are undone on backtracking, and no
-solution is ever stored.
+extension test proves dead, before reducing it.  This delivers every
+minimal rdf exactly once, with polynomial delay (at most 2n inner nodes
+between outputs) and polynomial space: label changes are undone on
+backtracking, and no solution is ever stored.
 
 The reduction pass applies, at each step, the first rule in a fixed order
 at the lowest vertex where it applies.  The fixpoint depends on that
@@ -26,12 +26,14 @@ new of w enables, by the label of each neighbor x,
     Isolate (not-1)  leaves not-2, once nothing is active
     ===============  ============================================
 
-and at w itself V0 (a new 0 with one 2-neighbor) or NPD (a new not-2).
-V0, V1 and V2 never need a neighbor's pend, as :func:`apply_reductions`
-explains.  The extension test is local too: the search keeps the bit
-sets ``once``/``twice`` of the vertices dominated by at least one/two
-2-vertices, the primitive of the subset walk in :mod:`.enum_simple`, and
-only 2-vertices near a new 2 can lose a private neighbor.
+and at w itself V0 (a new 0 with one 2-neighbor and a target, an active
+or not-1 neighbor) or NPD (a new not-2).  V0, V1 and V2 never need a
+neighbor's pend, as :func:`apply_reductions` explains.  The extension
+test is local too: the search keeps the bit sets ``once``/``twice`` of
+the vertices dominated by at least one/two 2-vertices, the primitive of
+the subset walk in :mod:`.enum_simple`, and only 2-vertices near a new 2
+can lose a private neighbor.  No rule changes what the test reads, so a
+set child is tested before its pass, and a dead one is never reduced.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
 The search state is kept in place as the bit sets of
@@ -80,9 +82,12 @@ class ReductionTrace:
 
 
 def undo(trace: ReductionTrace, grdf: Grdf) -> None:
-    """Reverse a recorded trace (mutates the grdf)."""
-    for _rule, v, old, _new in reversed(trace.steps):
-        grdf.relabel(v, old)
+    """Reverse a recorded trace (mutates the grdf, relabelling inline)."""
+    labels, masks = grdf.labels, grdf.masks
+    for _rule, v, old, new in reversed(trace.steps):
+        masks[new] ^= 1 << v
+        masks[old] |= 1 << v
+        labels[v] = old
 
 
 class SearchState(Grdf):
@@ -242,8 +247,11 @@ _TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
 def _pend_moved(pending: int, masks: list[int], nbr: list[int], c1: int,
                 n: int, w: int, old: int, new: int) -> int:
     """``pending`` with what the relabel old -> new of w can newly satisfy."""
+    if old == ACTIVE and not masks[ACTIVE]:
+        pending |= masks[NOT_ONE] << _ISOLATE * n
     if new == 0:
-        pending |= (c1 & 1 << w) << _V0 * n
+        if c1 >> w & 1 and nbr[w] & (masks[ACTIVE] | masks[NOT_ONE]):
+            pending |= 1 << _V0 * n + w
     elif new == NOT_TWO:
         pending |= 1 << _NPD * n + w
     near = nbr[w]
@@ -271,11 +279,11 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     that may still be 2 (V0, V1) or 1 (V2), only shrink: a vertex enters
     {active, not-1} or {active, not-2} only from active.  A 1 comes only
     from NPD, whose neighbors are all in {not-2, 0, 1}, so a new 1 has
-    no V1 targets.  V0's side condition at v, with u
-    the 2-neighbor of v, needs each blocker x in N(u) (a 0, not-1 or
-    not-2 vertex) to be in ``twice``; the 2-set is fixed here, and a rule
-    could move a blocker out of its class only as not-2 -> 1, which NPD
-    cannot do next to the 2-vertex u.
+    no V1 targets, and V0 is pended only at a 0-vertex with a target.
+    V0's side condition at v, with u the 2-neighbor of v, needs each
+    blocker x in N(u) (a 0, not-1 or not-2 vertex) to be in ``twice``;
+    the 2-set is fixed here, and a rule could move a blocker out of its
+    class only as not-2 -> 1, which NPD cannot do next to the 2-vertex u.
 
     ``grdf`` is either a run's :class:`SearchState` or a plain grdf,
     around which the bit sets are built; no rule creates a 2, so
@@ -283,10 +291,10 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     c1)`` the grdf must be a fixpoint except at b, just relabelled from
     ``old`` by a branch, and ``c1`` is the parent's (a set branch has
     already added b to ``once``/``twice``).  The branch pends as a
-    relabel does; a set branch also pends LPN and V2 at b, and V0
-    wherever a blocker went away: next to the 2-neighbors of each
-    blocker in N(b) that ``c1`` held, now dominated twice, and next to
-    the 2-neighbors of b if b was a not-1 blocker.  Otherwise every
+    relabel does; a set branch also pends LPN and V2 at b, and V0 (with
+    a target) wherever a blocker went away: next to the 2-neighbors of
+    each blocker in N(b) that ``c1`` held, now dominated twice, and next
+    to the 2-neighbors of b if b was a not-1 blocker.  Otherwise every
     vertex is pended.  Returns the trace needed to undo the relabelings.
     """
     state = _kept(adj, grdf)
@@ -301,10 +309,7 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
             masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
         b, old, c1_before = branch
-        pending = 0
-        if old == ACTIVE and not masks[ACTIVE]:
-            pending = masks[NOT_ONE] << _ISOLATE * n
-        pending = _pend_moved(pending, masks, nbr, c1, n, b, old, labels[b])
+        pending = _pend_moved(0, masks, nbr, c1, n, b, old, labels[b])
         if labels[b] == 2:
             pending |= 1 << _LPN * n + b | 1 << _V2 * n + b
             # A blocker of V0 went away where b's 2 made a private
@@ -313,10 +318,14 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
             freed = _around(nbr, nbr[b] & c1_before & blockers)
             if old == NOT_ONE:
                 freed |= nbr[b]
-            pending |= (_around(nbr, freed & masks[2]) & masks[0] & c1
-                        ) << _V0 * n
+            cand = _around(nbr, freed & masks[2]) & masks[0] & c1
+            targets = masks[ACTIVE] | masks[NOT_ONE]
+            while cand:
+                low = cand & -cand
+                if nbr[low.bit_length() - 1] & targets:
+                    pending |= low << _V0 * n
+                cand ^= low
 
-    relabel = state.relabel
     while pending:
         lowest = pending & -pending
         pending ^= lowest
@@ -328,9 +337,10 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
         for w, new in changes:
             old = labels[w]
             steps.append((name, w, old, new))
-            relabel(w, new)
-            if old == ACTIVE and not masks[ACTIVE]:
-                pending |= masks[NOT_ONE] << _ISOLATE * n
+            # Grdf.relabel(w, new), inline.
+            masks[old] ^= 1 << w
+            masks[new] |= 1 << w
+            labels[w] = new
             pending = _pend_moved(pending, masks, nbr, c1, n, w, old, new)
     return trace
 
@@ -476,9 +486,8 @@ class RefinedEnumerator:
                     assert check_phase_properties(adj, grdf, done), (
                         f"phase {done} properties violated"
                     )
-        labels = grdf.labels
         fires = self.stats.rule_fires
-        old = labels[v]
+        old = grdf.labels[v]
         once, twice, c1 = grdf.once, grdf.twice, grdf.c1
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
@@ -492,37 +501,44 @@ class RefinedEnumerator:
                 grdf.twice = twice | once & near
                 grdf.once = once | near
                 grdf.c1 = grdf.once & ~grdf.twice
-            trace = apply_reductions(adj, grdf, seed)
-            for step in trace.steps:
-                fires[step[0]] = fires.get(step[0], 0) + 1
-            # A deny keeps the 2-set and the kept state of the parent,
-            # which passed the test; by I2 no 1 is next to a 2 at a
-            # fixpoint, so the solver's saturation step changes nothing
-            # either.
+            # A deny keeps the parent's 2-set and kept state, which passed
+            # the test.  The test reads only c1, nbr and the 2-set, which no
+            # rule changes, so it runs before the pass; by I2 no 1 is next
+            # to a 2 at a fixpoint, so the solver's saturation adds nothing.
             alive = deny or self._private_near(v)
-            child_measure = None
-            if self.assert_invariants:
-                bad = violated_invariants(adj, labels)
-                assert not bad, f"invariants {bad} violated after reductions"
-                assert check_phase_properties(adj, grdf, 0), (
-                    "fixpoint edge conditions violated"
-                )
-                kept = SearchState(adj, Grdf(list(labels)))
-                assert (masks, grdf.once, grdf.twice, grdf.c1) == (
-                    kept.masks, kept.once, kept.twice, kept.c1), (
-                    "kept state out of step")
-                child_measure = measure(grdf)
-                assert parent_measure is None or child_measure < parent_measure
-                assert alive == (
-                    gen_ext_rd(project_grdf(self.graph, grdf)) is not None
-                ), "local extension test disagrees with the solver"
-            if alive:
-                self._node(child_measure, priority)
-            else:
+            if not alive:
                 self.stats.prunes += 1
-            undo(trace, grdf)
+            if alive or self.assert_invariants:
+                trace = apply_reductions(adj, grdf, seed)
+                child_measure = (self._check_child(parent_measure, alive)
+                                 if self.assert_invariants else None)
+                if alive:
+                    for step in trace.steps:
+                        fires[step[0]] = fires.get(step[0], 0) + 1
+                    self._node(child_measure, priority)
+                undo(trace, grdf)
             grdf.relabel(v, old)
             grdf.once, grdf.twice, grdf.c1 = once, twice, c1
+
+    def _check_child(self, parent_measure: float | None,
+                     alive: bool) -> float:
+        """Assert a child's fixpoint invariants; return its measure."""
+        adj, grdf = self.graph.adj, self.grdf
+        bad = violated_invariants(adj, grdf.labels)
+        assert not bad, f"invariants {bad} violated after reductions"
+        assert check_phase_properties(adj, grdf, 0), (
+            "fixpoint edge conditions violated"
+        )
+        kept = SearchState(adj, Grdf(list(grdf.labels)))
+        assert (grdf.masks, grdf.once, grdf.twice, grdf.c1) == (
+            kept.masks, kept.once, kept.twice, kept.c1), (
+            "kept state out of step")
+        child_measure = measure(grdf)
+        assert parent_measure is None or child_measure < parent_measure
+        assert alive == (
+            gen_ext_rd(project_grdf(self.graph, grdf)) is not None
+        ), "local extension test disagrees with the solver"
+        return child_measure
 
     def _private_near(self, b: int) -> bool:
         """The extension test after setting b to 2, from the parent's pass.

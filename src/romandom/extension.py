@@ -3,7 +3,7 @@
 Given a graph and an assignment f, decide whether some minimal rdf lies
 above f, and produce one as a witness.  Variants: a forbidden set of
 vertices that must not end up with value 2, and the PO order.  All run
-in O(n + m) time: the O(n) part is C-level work on sequences (index
+in O(n + m) time: the O(n) part is C-level work on sequences (byte
 scans of f, ``[1] * n``), and Python loops touch only N[V2], O(|V2| +
 vol(V2)) for the 2-set V2 after saturation.
 """
@@ -27,15 +27,18 @@ class ExtensionInstance:
 
     def __post_init__(self):
         v2 = two_set(self.graph, self.values)
-        if not self.forbidden.isdisjoint(v2):
+        forbidden, n = self.forbidden, self.graph.n
+        if forbidden and not 0 <= min(forbidden) <= max(forbidden) < n:
+            raise ValueError("forbidden ids must lie in [0, n)")
+        if not forbidden.isdisjoint(v2):
             raise ValueError("forbidden set intersects the 2-set of the "
-                             f"assignment: {sorted(self.forbidden & set(v2))}")
+                             f"assignment: {sorted(forbidden & set(v2))}")
+        object.__setattr__(self, "_v2", v2)
 
 
-def _solve(g: Graph, f: Assignment, forbidden: frozenset[int],
-           po: bool) -> Assignment | None:
-    adj = g.adj
-    m2 = two_set(g, f)
+def _solve(inst: ExtensionInstance, po: bool) -> Assignment | None:
+    f, forbidden, adj = inst.values, inst.forbidden, inst.graph.adj
+    m2 = list(inst._v2)  # a copy: saturation appends to it
 
     if po:
         # Under the PO order a 1-valued vertex can never be raised to 2, so
@@ -80,12 +83,12 @@ def ext_rd(g: Graph, f: Assignment) -> Assignment | None:
 
     Returns a minimal rdf above f (pointwise, 0 < 1 < 2) iff one exists.
     """
-    return _solve(g, f, frozenset(), po=False)
+    return _solve(ExtensionInstance(g, f, frozenset()), po=False)
 
 
 def gen_ext_rd(inst: ExtensionInstance) -> Assignment | None:
     """Like :func:`ext_rd`, but the witness's 2-set must avoid the forbidden set."""
-    return _solve(inst.graph, inst.values, inst.forbidden, po=False)
+    return _solve(inst, po=False)
 
 
 def ext_po_rd(g: Graph, f: Assignment) -> Assignment | None:
@@ -94,12 +97,12 @@ def ext_po_rd(g: Graph, f: Assignment) -> Assignment | None:
     Returns a PO-minimal rdf g with f <=_PO g (1- and 2-sets of f are kept)
     iff one exists.
     """
-    return _solve(g, f, frozenset(), po=True)
+    return _solve(ExtensionInstance(g, f, frozenset()), po=True)
 
 
 def gen_ext_po_rd(inst: ExtensionInstance) -> Assignment | None:
     """PO variant with a forbidden 2-set."""
-    return _solve(inst.graph, inst.values, inst.forbidden, po=True)
+    return _solve(inst, po=True)
 
 
 def project_grdf(g: Graph, grdf: Grdf) -> ExtensionInstance:

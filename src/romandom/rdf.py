@@ -60,16 +60,25 @@ def weight(f: Assignment) -> int:
 
 
 def two_set(g: Graph, f: Assignment) -> list[int]:
-    """The ids valued 2 in f, ascending, by C-level ``index`` scans of f."""
+    """The ids valued 2 in f, ascending, by C-level byte scans of f."""
+    return _scan(g, f)[1]
+
+
+def _scan(g: Graph, f: Assignment) -> tuple[bytearray, list[int]]:
+    # f as bytes, checked to be over {0, 1, 2}, and its 2-set.
     if len(f) != g.n:
         raise ValueError("assignment length does not match graph order")
-    v2, v = [], -1
     try:
-        while True:
-            v = f.index(2, v + 1)
-            v2.append(v)
-    except ValueError:
-        return v2
+        b = bytearray(f)
+        if b.translate(None, b"\x00\x01\x02"):
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError("assignment values must be 0, 1 or 2") from None
+    v2, v = [], b.find(2)
+    while v >= 0:
+        v2.append(v)
+        v = b.find(2, v + 1)
+    return b, v2
 
 
 def lonely_twos(adj: tuple[frozenset[int], ...], f: Assignment,
@@ -88,10 +97,10 @@ def _census(g: Graph, f: Assignment):
     """``(v2, c, ones, dominated)``: the 2-set of f, its ``two_counts``,
     the 1-vertices next to it, and whether every 0-vertex has a 2-neighbor:
     N[v2] holds ``n - c.count(0)`` vertices, v2, ``ones`` and 0s."""
-    v2 = two_set(g, f)
+    b, v2 = _scan(g, f)
     c = two_counts(g.adj, v2)
     ones = {u for v in v2 for u in g.adj[v] if f[u] == 1}
-    return v2, c, ones, f.count(0) == g.n - c.count(0) - len(v2) - len(ones)
+    return v2, c, ones, b.count(0) == g.n - c.count(0) - len(v2) - len(ones)
 
 
 def is_rdf(g: Graph, f: Assignment) -> bool:

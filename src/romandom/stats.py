@@ -16,8 +16,8 @@ class EnumStats:
     reports its candidate-subset gap for information only and makes no
     delay promise.  ``tree_ratio`` is tree_nodes / 1.9332^n, the refined
     search tree measured against the paper's bound (refined mode only).
-    ``rule_fires`` counts the relabellings made by each reduction rule and
-    ``prunes`` the children cut by the extension test (refined mode only).
+    ``rule_fires`` counts each reduction rule's relabellings and ``prunes``
+    the children the extension test cut before reduction (refined only).
     """
 
     solutions: int = 0

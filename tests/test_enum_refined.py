@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -237,13 +238,13 @@ def test_refined_tree_shape_golden(g, expected):
 
 
 @pytest.mark.parametrize("g, count, digest", [
-    (gen_c5_copies(3), 10963, "ca429803eaed8cf8"),
-    (gen_cycle(14), 4631, "fcf1eef933817671"),
-    (gen_random(12, 0.2, 7), 833, "23cb5d4803a5c3b1"),
+    (gen_c5_copies(3), 10410, "7458caec98e1a06d"),
+    (gen_cycle(14), 4463, "a3a8a027b204e418"),
+    (gen_random(12, 0.2, 7), 822, "b939765b5517c9d8"),
 ], ids=["c5pow3", "cycle14", "random12"])
 def test_reduction_steps_golden(monkeypatch, g, count, digest):
     # pins every relabel step of a run, in order: the fixpoints depend on
-    # the order in which the rules fire
+    # the order in which the rules fire (pruned children are not reduced)
     steps = []
 
     def recording(*args, **kwargs):
@@ -458,11 +459,67 @@ def test_refined_past_one_machine_word():
 
 def test_refined_rule_fires_and_prunes():
     stats = enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None)
-    assert stats.rule_fires == {RULE_LPN: 4433, RULE_V0: 669, RULE_V2: 430,
+    assert stats.rule_fires == {RULE_LPN: 3880, RULE_V0: 669, RULE_V2: 430,
                                 RULE_NPD: 3979, RULE_ISOLATE: 1452}
     assert stats.prunes == 553
     for g, prunes in ((gen_cycle(14), 134), (gen_random(12, 0.2, 7), 5)):
         assert enumerate_minimal_rdf_refined(g, lambda f: None).prunes == prunes
+
+
+@pytest.mark.parametrize("g", [gen_c5_copies(3), gen_cycle(14),
+                               gen_random(12, 0.2, 7)],
+                         ids=["c5pow3", "cycle14", "random12"])
+def test_only_entered_children_are_reduced(monkeypatch, g):
+    # a set child the privacy test prunes gets no reduction pass, and
+    # rule_fires counts exactly the relabels of the passes that run
+    fired = Counter()
+    calls = []
+
+    def recording(*args, **kwargs):
+        trace = apply_reductions(*args, **kwargs)
+        calls.append(trace)
+        fired.update(step[0] for step in trace.steps)
+        return trace
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", recording)
+    stats = enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert len(calls) == stats.tree_nodes - 1
+    assert stats.rule_fires == dict(fired)
+
+
+def test_rule_fires_same_with_assertions():
+    for g in (gen_c5_copies(2), gen_random(10, 0.3, 3), gen_cycle(9)):
+        plain = enumerate_minimal_rdf_refined(g, lambda f: None)
+        checked = enumerate_minimal_rdf_refined(g, lambda f: None,
+                                                assert_invariants=True)
+        assert plain.prunes > 0
+        assert (checked.rule_fires, checked.prunes) == (plain.rule_fires,
+                                                        plain.prunes)
+
+
+def test_v0_tested_only_where_it_has_a_target(monkeypatch):
+    # V0 is pended at a 0-vertex only if it has a target, an active or
+    # not-1 neighbor.  Targets only go away, so each tested vertex had one
+    # when its pass began (a relabel earlier in the pass may take it).
+    start = []
+    tested = []
+
+    def recording(adj, grdf, *args):
+        start.append(grdf.masks[ACTIVE] | grdf.masks[NOT_ONE])
+        return apply_reductions(adj, grdf, *args)
+
+    def v0(labels, masks, nbr, c1, v):
+        tested.append(labels[v] != 0 or bool(nbr[v] & start[-1]))
+        return v0_rule(labels, masks, nbr, c1, v)
+
+    v0_rule = enum_refined._TESTS[enum_refined._V0]
+    tests = list(enum_refined._TESTS)
+    tests[enum_refined._V0] = v0
+    monkeypatch.setattr(enum_refined, "_TESTS", tuple(tests))
+    monkeypatch.setattr(enum_refined, "apply_reductions", recording)
+    for g in (gen_c5_copies(3), gen_cycle(14), gen_random(12, 0.2, 7)):
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert tested and all(tested)
 
 
 def test_tree_ratio_on_large_order(monkeypatch):

@@ -78,6 +78,28 @@ def test_solvers_reject_length_mismatch(solver):
             solver(gen_cycle(5), f)
 
 
+@pytest.mark.parametrize("solver", [ext_rd, ext_po_rd])
+@pytest.mark.parametrize("f", [(0, -1), (3, 0), (0.0, 2), (None, 0)])
+def test_solvers_reject_values_outside_012(p2, solver, f):
+    with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+        solver(p2, f)
+
+
+@pytest.mark.parametrize("forbidden", [{5}, {-1}, {0, 2}])
+def test_instance_rejects_forbidden_out_of_range(p2, forbidden):
+    with pytest.raises(ValueError, match="must lie in"):
+        ExtensionInstance(p2, (0, 0), frozenset(forbidden))
+
+
+def test_instance_keeps_its_two_set():
+    # the solver copies the 2-set it was built with: saturation appends
+    # to the copy, so the instance answers the same every time
+    inst = ExtensionInstance(gen_cycle(5), (2, 1, 0, 0, 0), frozenset())
+    assert gen_ext_rd(inst) == gen_ext_rd(inst) == ext_rd(gen_cycle(5),
+                                                          inst.values)
+    assert gen_ext_rd(inst) is not None
+
+
 def test_instance_rejects_forbidden_two(p2):
     with pytest.raises(ValueError):
         ExtensionInstance(p2, (2, 0), frozenset({0}))

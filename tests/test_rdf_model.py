@@ -88,6 +88,18 @@ def test_checkers_reject_length_mismatch(check):
             check(gen_cycle(5), f)
 
 
+@pytest.mark.parametrize("check, f", [
+    (minimality_report, (3, 2)),
+    (is_rdf, (0.0, 2)),
+    (is_minimal_rdf, (0, -1)),
+    (is_po_minimal_rdf, (2, 256)),
+    (is_rdf, "02"),
+])
+def test_checkers_reject_values_outside_012(p2, check, f):
+    with pytest.raises(ValueError, match="must be 0, 1 or 2"):
+        check(p2, f)
+
+
 def test_report_rejects_unknown_order(p2):
     with pytest.raises(ValueError):
         minimality_report(p2, (2, 0), order="pointwise")

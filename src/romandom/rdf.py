@@ -10,7 +10,6 @@ and 2 incomparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .graph import Graph
@@ -35,23 +34,6 @@ def parse_assignment(text: str, n: int) -> Assignment:
 
 def format_assignment(f: Assignment) -> str:
     return bytes(f).translate(_DIGITS).decode()
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """The partition of V by assignment value."""
-
-    v0: frozenset[int]
-    v1: frozenset[int]
-    v2: frozenset[int]
-
-
-def level_sets(f: Assignment) -> LevelSets:
-    return LevelSets(
-        frozenset(v for v, x in enumerate(f) if x == 0),
-        frozenset(v for v, x in enumerate(f) if x == 1),
-        frozenset(v for v, x in enumerate(f) if x == 2),
-    )
 
 
 def weight(f: Assignment) -> int:

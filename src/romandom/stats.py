@@ -11,11 +11,11 @@ class EnumStats:
 
     ``max_gap`` is the largest number of inner search nodes visited
     between two consecutive outputs (including before the first and after
-    the last).  Only the enumerators that claim polynomial delay track it
-    (refined, and the PO include/exclude search); the plain subset sweep
-    reports its candidate-subset gap for information only and makes no
-    delay promise.  ``tree_ratio`` is tree_nodes / 1.9332^n, the refined
-    search tree measured against the paper's bound (refined mode only).
+    the last).  The refined enumerator keeps it <= 2n; the subset walk
+    behind both simple enumerators counts the frames it enters and keeps
+    ``max_gap`` <= n and ``tree_nodes`` <= (n + 1) * ``solutions``.
+    ``tree_ratio`` is tree_nodes / 1.9332^n, the refined search tree
+    measured against the paper's bound (refined mode only).
     ``rule_fires`` counts each reduction rule's relabellings and ``prunes``
     the children the extension test cut before reduction (refined only).
     """

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
-delay criterion collects gap records from every run that claims
-polynomial delay (the refined enumerator and the PO include/exclude
-search); the plain subset sweep makes no delay promise and is excluded.
+delay criterion collects gap records from every enumeration run in
+criteria 1-3: the refined enumerator, the subset sweep and the PO
+include/exclude walk all claim polynomial delay.
 """
 
 import itertools
@@ -18,10 +18,10 @@ from romandom import (ExtensionInstance, Graph,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf, leq_po, leq_standard)
 from romandom.oracle import brute_ext, brute_minimal_rdfs
-from romandom.rdf import level_sets
+from romandom.rdf import two_set
 
-# (label, n, max_gap) rows recorded by the delay-claiming runs in
-# criteria 1-3, asserted in criterion 5.
+# (label, n, max_gap) rows recorded by the enumeration runs in criteria
+# 1-3, asserted in criterion 5.
 GAP_RECORDS: list[tuple[str, int, int]] = []
 
 
@@ -32,16 +32,9 @@ def _report(num: int, title: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {title} {detail}"
 
 
-def _run_refined(g, label: str):
+def _run(enumerate_, g, label: str):
     out = []
-    stats = enumerate_minimal_rdf_refined(g, out.append)
-    GAP_RECORDS.append((label, g.n, stats.max_gap))
-    return out, stats
-
-
-def _run_po_simple(g, label: str):
-    out = []
-    stats = enumerate_po_minimal_simple(g, out.append)
+    stats = enumerate_(g, out.append)
     GAP_RECORDS.append((label, g.n, stats.max_gap))
     return out, stats
 
@@ -53,11 +46,12 @@ def test_criterion_1_exact_counts():
         g = gen_c5_copies(c)
         expected = 16 ** c
         counts = {}
-        simple_out = []
-        stats = enumerate_minimal_rdf_simple(g, simple_out.append)
+        simple_out, stats = _run(enumerate_minimal_rdf_simple, g,
+                                 f"c5pow{c}-simple")
         counts["simple"] = len(simple_out)
         ok &= stats.wall_ms < 60_000
-        refined_out, stats = _run_refined(g, f"c5pow{c}")
+        refined_out, stats = _run(enumerate_minimal_rdf_refined, g,
+                                   f"c5pow{c}")
         counts["refined"] = len(refined_out)
         ok &= stats.wall_ms < 60_000
         if c <= 2:
@@ -73,10 +67,10 @@ def test_criterion_1_exact_counts():
 def test_criterion_2_po_counts():
     ok = True
     for n in range(2, 9):
-        out, _ = _run_po_simple(gen_star(n), f"star{n}")
+        out, _ = _run(enumerate_po_minimal_simple, gen_star(n), f"star{n}")
         ok &= len(out) == 2 ** n + 1
     for n in range(1, 11):
-        out, _ = _run_po_simple(gen_null(n), f"null{n}")
+        out, _ = _run(enumerate_po_minimal_simple, gen_null(n), f"null{n}")
         ok &= len(out) == 2 ** n
     _report(2, "PO counts: 2^n+1 on stars, 2^n on null graphs", ok,
             "stars n=2..8, null n=1..10")
@@ -98,16 +92,16 @@ def test_criterion_3_oracle_equivalence(catalog6):
     for label, g in _instances_for_criterion_3(catalog6):
         graphs += 1
         expected = brute_minimal_rdfs(g)
-        simple_out = []
-        enumerate_minimal_rdf_simple(g, simple_out.append)
-        refined_out, _ = _run_refined(g, label)
+        simple_out, _ = _run(enumerate_minimal_rdf_simple, g,
+                              f"{label}-simple")
+        refined_out, _ = _run(enumerate_minimal_rdf_refined, g, label)
         if not (sorted(simple_out) == sorted(refined_out) == expected):
             mismatches += 1
             continue
         for f in expected:
             if not is_minimal_rdf(g, f):
                 mismatches += 1
-            if 2 * len(level_sets(f).v2) > g.n:
+            if 2 * len(two_set(g, f)) > g.n:
                 mismatches += 1
     _report(3, "simple/refined/oracle agree, checker and 2|V2|<=n hold",
             mismatches == 0, f"{graphs} graphs, {mismatches} mismatches")
@@ -121,7 +115,7 @@ def _extension_case(g, f, forbidden, std, po):
         bad += 1
     elif witness is not None and not (
         leq_standard(f, witness) and is_minimal_rdf(g, witness)
-        and not (level_sets(witness).v2 & forbidden)
+        and forbidden.isdisjoint(two_set(g, witness))
     ):
         bad += 1
     witness = gen_ext_po_rd(inst) if forbidden else ext_po_rd(g, f)
@@ -130,7 +124,7 @@ def _extension_case(g, f, forbidden, std, po):
         bad += 1
     elif witness is not None and not (
         leq_po(f, witness) and is_po_minimal_rdf(g, witness)
-        and not (level_sets(witness).v2 & forbidden)
+        and forbidden.isdisjoint(two_set(g, witness))
     ):
         bad += 1
     return bad
@@ -168,11 +162,11 @@ def test_criterion_4_extension_correctness(catalog5):
 
 def test_criterion_5_delay_bound():
     if not GAP_RECORDS:
-        _run_refined(gen_c5_copies(2), "fallback")
-        _run_po_simple(gen_star(4), "fallback-po")
+        _run(enumerate_minimal_rdf_refined, gen_c5_copies(2), "fallback")
+        _run(enumerate_po_minimal_simple, gen_star(4), "fallback-po")
     worst = max(gap - 2 * n for _, n, gap in GAP_RECORDS)
     ok = all(gap <= 2 * n for _, n, gap in GAP_RECORDS)
-    _report(5, "max_gap <= 2n on every delay-claiming run", ok,
+    _report(5, "max_gap <= 2n on every enumeration run", ok,
             f"{len(GAP_RECORDS)} runs, worst slack {-worst}")
 
 

@@ -190,7 +190,7 @@ def test_refined_random_graphs_with_assertions():
 
 
 @pytest.mark.parametrize("n, seed", [(16, 1), (16, 2), (18, 1), (18, 2),
-                                     (20, 1), (20, 2)])
+                                     (20, 1), (20, 2), (24, 7)])
 def test_refined_matches_sweep_beyond_oracle(n, seed):
     # past the oracle's n <= 12 the pruned subset sweep is the reference
     g = gen_random(n, 0.2, seed)

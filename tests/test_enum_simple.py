@@ -9,7 +9,7 @@ from romandom import (EnumStats, ExtensionInstance,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import format_assignment, level_sets, two_counts
+from romandom.rdf import format_assignment, two_counts, two_set
 
 
 def _collect(enumerator, g):
@@ -32,19 +32,13 @@ def _sweep_reference(g, sink):
     # at most n/2 members, in ascending order.
     stats = EnumStats()
     n = g.n
-    gap = 0
     for mask in range(1 << n):
         if mask.bit_count() > n // 2:
             continue
-        stats.tree_nodes += 1
-        gap += 1
         f = ext_rd(g, tuple(2 if mask >> v & 1 else 0 for v in range(n)))
         if f is not None:
             sink(f)
             stats.solutions += 1
-            stats.max_gap = max(stats.max_gap, gap)
-            gap = 0
-    stats.max_gap = max(stats.max_gap, gap)
     return stats
 
 
@@ -86,15 +80,25 @@ def _po_walk_reference(g, sink):
     return stats
 
 
+def _assert_walk_bounds(g, stats):
+    # flashlight bounds: at most n inner frames lead from any frame to a
+    # leaf, and every frame lies on the n + 1 frames of some leaf's path
+    assert stats.max_gap <= g.n
+    assert stats.tree_nodes <= (g.n + 1) * stats.solutions
+
+
 def _assert_same_as_reference(g):
-    for enumerator, reference in (
-            (enumerate_minimal_rdf_simple, _sweep_reference),
-            (enumerate_po_minimal_simple, _po_walk_reference)):
+    # the sweep reference pins the stream only: it tests masks, not frames
+    for enumerator, reference, fields in (
+            (enumerate_minimal_rdf_simple, _sweep_reference, ("solutions",)),
+            (enumerate_po_minimal_simple, _po_walk_reference,
+             ("solutions", "tree_nodes", "max_gap"))):
         out, stats = _collect(enumerator, g)
         ref_out, ref = _collect(reference, g)
         assert out == ref_out
-        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
-            ref.solutions, ref.tree_nodes, ref.max_gap)
+        assert [getattr(stats, k) for k in fields] == [
+            getattr(ref, k) for k in fields]
+        _assert_walk_bounds(g, stats)
 
 
 def test_simple_c5_count(c5):
@@ -122,7 +126,7 @@ def test_simple_c5pow2_count():
 
 def test_simple_order_and_uniqueness(c5):
     out, _ = _collect(enumerate_minimal_rdf_simple, c5)
-    masks = [sum(1 << v for v in level_sets(f).v2) for f in out]
+    masks = [sum(1 << v for v in two_set(c5, f)) for f in out]
     assert masks == sorted(masks)
     assert len(set(masks)) == len(masks)
 
@@ -172,24 +176,42 @@ def test_walks_match_references_on_random_graphs():
             _assert_same_as_reference(gen_random(n, p, rng.randrange(10**6)))
 
 
-@pytest.mark.parametrize("g", [gen_star(12), gen_null(12), gen_c5_copies(3),
-                               gen_cycle(14)],
-                         ids=["star12", "null12", "c5pow3", "cycle14"])
+@pytest.mark.parametrize("g", [gen_star(12), gen_null(12), gen_null(0),
+                               gen_c5_copies(3), gen_cycle(14)],
+                         ids=["star12", "null12", "null0", "c5pow3",
+                              "cycle14"])
 def test_walks_match_references_on_families(g):
     _assert_same_as_reference(g)
 
 
 @pytest.mark.parametrize("g, sweep, po", [
-    (gen_c5_copies(3), (4096, 16384, 1812), (4096, 10921, 15)),
-    (gen_cycle(14), (1492, 9908, 1003), (1893, 5219, 14)),
+    (gen_c5_copies(3), (4096, 10921, 15), (4096, 10921, 15)),
+    (gen_cycle(14), (1492, 4306, 14), (1893, 5219, 14)),
 ], ids=["c5pow3", "cycle14"])
 def test_walk_stats_golden(g, sweep, po):
-    # (solutions, tree_nodes, max_gap) of the mask sweep and the PO walk
-    # that the pruned walk replaced
+    # (solutions, tree_nodes, max_gap), counted in frames by both walks
     for enumerator, expected in ((enumerate_minimal_rdf_simple, sweep),
                                  (enumerate_po_minimal_simple, po)):
         stats = enumerator(g, lambda f: None)
         assert (stats.solutions, stats.tree_nodes, stats.max_gap) == expected
+
+
+def test_sweep_bounds_on_star1000():
+    # sweep only: large stars have 2^k + 1 PO-minimal rdfs.  The minimal
+    # ones have 2-set {}, {center} or {ray r}, and the branch that includes
+    # ray r has r + 1 frames.
+    g = gen_star(1000)
+    stats = enumerate_minimal_rdf_simple(g, lambda f: None)
+    _assert_walk_bounds(g, stats)
+    assert (stats.solutions, stats.tree_nodes) == (1002, 502503)
+
+
+def test_sweep_bounds_are_tight_on_null_graphs():
+    # one solution (all 1s) at the end of the all-exclude path
+    for n in (0, 1, 12):
+        stats = enumerate_minimal_rdf_simple(gen_null(n), lambda f: None)
+        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
+            1, n + 1, n)
 
 
 class _Enough(Exception):
@@ -210,6 +232,21 @@ def test_po_walk_has_no_recursion_limit():
         enumerate_po_minimal_simple(g, sink)
     assert out[0] == (1,) * 1201 and len(set(out)) == 3
     assert all(is_po_minimal_rdf(g, f) for f in out)
+
+
+def test_sweep_first_output_is_immediate():
+    # after O(n + m) set-up, the first descent of n + 1 frames ends in a leaf
+    g = gen_star(2000)
+    out = []
+
+    def sink(f):
+        out.append(time.perf_counter() - start)
+        raise _Enough
+
+    start = time.perf_counter()
+    with pytest.raises(_Enough):
+        enumerate_minimal_rdf_simple(g, sink)
+    assert out[0] < 0.1, f"first output after {out[0]:.3f} s"
 
 
 def test_sweep_prunes_dead_two_sets():

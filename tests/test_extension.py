@@ -10,8 +10,8 @@ from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, Grdf
 from romandom.oracle import brute_ext, brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
-                          COND_PRIVACY, level_sets, minimality_report,
-                          two_counts)
+                          COND_PRIVACY, minimality_report, two_counts,
+                          two_set)
 
 
 def test_ext_rd_star_all_zeros(k13):
@@ -135,7 +135,7 @@ def _check_standard(g, f, forbidden, minimal):
     if witness is not None:
         assert leq_standard(f, witness)
         assert is_minimal_rdf(g, witness)
-        assert not (level_sets(witness).v2 & forbidden)
+        assert forbidden.isdisjoint(two_set(g, witness))
 
 
 def _check_po(g, f, forbidden, minimal):
@@ -146,7 +146,7 @@ def _check_po(g, f, forbidden, minimal):
     if witness is not None:
         assert leq_po(f, witness)
         assert is_po_minimal_rdf(g, witness)
-        assert not (level_sets(witness).v2 & forbidden)
+        assert forbidden.isdisjoint(two_set(g, witness))
 
 
 def test_solvers_agree_with_oracle_exhaustive(catalog5):

@@ -11,8 +11,8 @@ from romandom import (closed_neighborhood, gen_cycle, gen_null, gen_random,
 from romandom.graph import Graph
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
-                          COND_PRIVACY, format_assignment, level_sets,
-                          minimality_report, parse_assignment)
+                          COND_PRIVACY, format_assignment,
+                          minimality_report, parse_assignment, two_set)
 
 
 def test_weight_star_center_two():
@@ -143,11 +143,11 @@ def test_format_assignment_round_trip():
     assert format_assignment([2, 0, 1]) == "201"
 
 
-def test_level_sets_partition():
-    f = (0, 1, 2, 1, 0)
-    ls = level_sets(f)
-    assert ls.v0 | ls.v1 | ls.v2 == set(range(5))
-    assert not (ls.v0 & ls.v1 or ls.v1 & ls.v2 or ls.v0 & ls.v2)
+def test_two_set_ascending():
+    g = gen_null(5)
+    assert two_set(g, (0, 1, 2, 1, 2)) == [2, 4]
+    assert two_set(g, (2, 2, 2, 2, 2)) == [0, 1, 2, 3, 4]
+    assert two_set(g, (0, 1, 0, 1, 1)) == []
 
 
 def _agreement(g: Graph):
@@ -156,7 +156,7 @@ def _agreement(g: Graph):
     for f in itertools.product((0, 1, 2), repeat=g.n):
         assert is_minimal_rdf(g, f) == (f in std), f
         assert is_po_minimal_rdf(g, f) == (f in po), f
-        d = level_sets(f).v2
+        d = frozenset(two_set(g, f))
         for v in d:
             assert private_neighbors(g, d, v) == (
                 closed_neighborhood(g, {v}) - closed_neighborhood(g, d - {v})
@@ -164,9 +164,9 @@ def _agreement(g: Graph):
     for f in std | po:
         assert is_rdf(g, f)
     for f in std:
-        assert 2 * len(level_sets(f).v2) <= g.n
+        assert 2 * len(two_set(g, f)) <= g.n
     # distinct minimal rdfs have distinct 2-sets
-    twos = [level_sets(f).v2 for f in std]
+    twos = [tuple(two_set(g, f)) for f in std]
     assert len(set(twos)) == len(twos)
 
 

@@ -20,9 +20,9 @@ import time
 
 from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
-               ext_po_rd, ext_rd, format_assignment, gen_c5_copies, gen_cycle,
-               gen_ext_po_rd, gen_ext_rd, gen_null, gen_random, gen_star,
-               parse_assignment, parse_edge_list, to_edge_list)
+               format_assignment, gen_c5_copies, gen_cycle, gen_ext_po_rd,
+               gen_ext_rd, gen_null, gen_random, gen_star, parse_assignment,
+               parse_edge_list, to_edge_list)
 from .extension import ExtensionInstance
 from .graph import Graph, GraphFormatError
 from .oracle import OracleCapExceeded
@@ -116,12 +116,8 @@ def _cmd_extend(args) -> int:
     g = _load_graph(args.graph)
     try:
         f = parse_assignment(args.assignment, g.n)
-        forbidden = _parse_forbidden(args.forbidden, g.n)
-        if forbidden:
-            inst = ExtensionInstance(g, f, forbidden)
-            witness = (gen_ext_po_rd if args.order == "po" else gen_ext_rd)(inst)
-        else:
-            witness = (ext_po_rd if args.order == "po" else ext_rd)(g, f)
+        inst = ExtensionInstance(g, f, _parse_forbidden(args.forbidden, g.n))
+        witness = (gen_ext_po_rd if args.order == "po" else gen_ext_rd)(inst)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if witness is None:

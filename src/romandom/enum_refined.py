@@ -36,10 +36,12 @@ can lose a private neighbor.  No rule changes what the test reads, so a
 set child is tested before its pass, and a dead one is never reduced.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
-The search state is kept in place as the bit sets of
-:class:`SearchState` and undone on backtracking (as in Knuth's "Dancing
-Links"), so each rule test, pend, branch pick, completeness check and
-privacy test is a few operations on Python ints, not a scan.
+The search has one state, a :class:`SearchState`: the labels with their
+bit sets and ``once``/``twice``, kept in place and undone on backtracking
+(as in Knuth's "Dancing Links"), so each rule test, pend, branch pick,
+completeness check and privacy test is a few operations on Python ints,
+not a scan.  A 2 enters ``once``/``twice`` only through
+:meth:`SearchState.add_two`.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class ReductionTrace:
 
     steps: list[TraceStep] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def undo(trace: ReductionTrace, grdf: Grdf) -> None:
     """Reverse a recorded trace (mutates the grdf, relabelling inline)."""
@@ -91,30 +90,30 @@ def undo(trace: ReductionTrace, grdf: Grdf) -> None:
 
 
 class SearchState(Grdf):
-    """A grdf (sharing its labels and masks) with the search's kept state.
+    """The search's one state: a grdf of a graph with its 2-domination.
 
     ``nbr[v]`` is the neighborhood of v as a bit set.  ``once`` and
     ``twice`` are the vertices with at least one and at least two
     2-vertices in their closed neighborhood, and ``c1 = once & ~twice``
     those with exactly one, its private neighbors.  No rule creates a 2,
-    so only a set branch and its restore change them.
+    so only :meth:`add_two` (for each initial 2 and at a set branch) and
+    the branch's restore change them.
     """
 
-    def __init__(self, adj: Adjacency, grdf: Grdf):
-        self.labels, self.masks = grdf.labels, grdf.masks
+    def __init__(self, adj: Adjacency, labels: list[int]):
+        super().__init__(labels)
         self.nbr = nbr_masks(adj)
-        once = twice = 0
-        for v, x in enumerate(self.labels):
+        self.once = self.twice = self.c1 = 0
+        for v, x in enumerate(labels):
             if x == 2:
-                near = self.nbr[v] | 1 << v
-                twice |= once & near
-                once |= near
-        self.once, self.twice, self.c1 = once, twice, once & ~twice
+                self.add_two(v)
 
-
-def _kept(adj: Adjacency, grdf: Grdf) -> SearchState:
-    # A run's own state, or one built around a plain grdf.
-    return grdf if isinstance(grdf, SearchState) else SearchState(adj, grdf)
+    def add_two(self, v: int) -> None:
+        """Count the 2 at v in ``once``, ``twice`` and ``c1``."""
+        near = self.nbr[v] | 1 << v
+        self.twice |= self.once & near
+        self.once |= near
+        self.c1 = self.once & ~self.twice
 
 
 def _around(nbr: list[int], vertices: int) -> int:
@@ -260,10 +259,10 @@ def _pend_moved(pending: int, masks: list[int], nbr: list[int], c1: int,
     return pending
 
 
-def apply_reductions(adj: Adjacency, grdf: Grdf,
+def apply_reductions(state: SearchState,
                      branch: tuple[int, int, int] | None = None
                      ) -> ReductionTrace:
-    """Run the reduction rules to fixpoint (relabels the grdf; reads adj).
+    """Run the reduction rules to fixpoint (relabels the state).
 
     Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
     NPN, Isolate, at the lowest vertex where it applies; any other order
@@ -285,19 +284,17 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     the 2-set is fixed here, and a rule could move a blocker out of its
     class only as not-2 -> 1, which NPD cannot do next to the 2-vertex u.
 
-    ``grdf`` is either a run's :class:`SearchState` or a plain grdf,
-    around which the bit sets are built; no rule creates a 2, so
-    ``once`` and ``twice`` stay fixed here.  With ``branch = (b, old,
-    c1)`` the grdf must be a fixpoint except at b, just relabelled from
-    ``old`` by a branch, and ``c1`` is the parent's (a set branch has
-    already added b to ``once``/``twice``).  The branch pends as a
-    relabel does; a set branch also pends LPN and V2 at b, and V0 (with
-    a target) wherever a blocker went away: next to the 2-neighbors of
-    each blocker in N(b) that ``c1`` held, now dominated twice, and next
-    to the 2-neighbors of b if b was a not-1 blocker.  Otherwise every
-    vertex is pended.  Returns the trace needed to undo the relabelings.
+    No rule creates a 2, so ``once`` and ``twice`` stay fixed here.
+    With ``branch = (b, old, c1)`` the state must be a fixpoint except
+    at b, just relabelled from ``old`` by a branch, and ``c1`` is the
+    parent's (a set branch has already called :meth:`SearchState.add_two`
+    on b).  The branch pends as a relabel does; a set branch also pends
+    LPN and V2 at b, and V0 (with a target) wherever a blocker went
+    away: next to the 2-neighbors of each blocker in N(b) that ``c1``
+    held, now dominated twice, and next to the 2-neighbors of b if b was
+    a not-1 blocker.  Otherwise every vertex is pended.  Returns the
+    trace needed to undo the relabelings.
     """
-    state = _kept(adj, grdf)
     labels, masks, nbr, c1 = state.labels, state.masks, state.nbr, state.c1
     n = len(labels)
     trace = ReductionTrace()
@@ -345,7 +342,7 @@ def apply_reductions(adj: Adjacency, grdf: Grdf,
     return trace
 
 
-def pick_branch_vertex(adj: Adjacency, grdf: Grdf) -> tuple[int, int] | None:
+def pick_branch_vertex(state: SearchState) -> tuple[int, int] | None:
     """Branch vertex and its priority class (1..3); None at a leaf.
 
     Priorities, in decreasing order: an active vertex with at least two
@@ -353,7 +350,6 @@ def pick_branch_vertex(adj: Adjacency, grdf: Grdf) -> tuple[int, int] | None:
     preferring one whose not-2 neighborhood has size other than 2.
     Ties break to the lowest id.
     """
-    state = _kept(adj, grdf)
     masks, nbr = state.masks, state.nbr
     active = masks[ACTIVE]
     if active:
@@ -376,27 +372,12 @@ def pick_branch_vertex(adj: Adjacency, grdf: Grdf) -> tuple[int, int] | None:
     return ((not_one & -not_one).bit_length() - 1, 3) if not_one else None
 
 
-def branch_set_two(grdf: Grdf, v: int) -> None:
-    """Commit the branch vertex to value 2 (mutates the grdf)."""
-    if grdf.labels[v] not in (ACTIVE, NOT_ONE):
-        raise ValueError(f"vertex {v} is not branchable")
-    grdf.relabel(v, 2)
-
-
-def branch_deny_two(grdf: Grdf, v: int) -> None:
-    """Commit the branch vertex to never take value 2 (mutates the grdf)."""
-    if grdf.labels[v] not in (ACTIVE, NOT_ONE):
-        raise ValueError(f"vertex {v} is not branchable")
-    grdf.relabel(v, NOT_TWO if grdf.labels[v] == ACTIVE else 0)
-
-
-def check_phase_properties(adj: Adjacency, grdf: Grdf, phase: int) -> bool:
+def check_phase_properties(state: SearchState, phase: int) -> bool:
     """State conditions that must hold once the given phase is complete.
 
     Phase 0 stands for "reductions are at fixpoint" and checks the edge
     conditions; phases 1..3 correspond to the branching priorities.
     """
-    state = _kept(adj, grdf)
     masks, nbr = state.masks, state.nbr
     active = masks[ACTIVE]
     if phase == 0:
@@ -434,7 +415,7 @@ class RefinedEnumerator:
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
-        self.grdf = SearchState(g.adj, Grdf.all_active(g.n))
+        self.state = SearchState(g.adj, [ACTIVE] * g.n)
         self.stats = EnumStats()
         self._gap = 0
 
@@ -457,7 +438,7 @@ class RefinedEnumerator:
 
     def _emit(self) -> None:
         # _node has just checked that every label is final.
-        self.sink(tuple(self.grdf.labels))
+        self.sink(tuple(self.state.labels))
         self.stats.solutions += 1
         self.stats.max_gap = max(self.stats.max_gap, self._gap)
         self._gap = 0
@@ -465,14 +446,13 @@ class RefinedEnumerator:
     def _node(self, parent_measure: float | None, last_priority: int) -> None:
         """Visit one search node (``parent_measure`` only when asserting)."""
         self.stats.tree_nodes += 1
-        grdf = self.grdf
-        masks = grdf.masks
+        state = self.state
+        masks = state.masks
         if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
             self._emit()
             return
         self._gap += 1
-        adj = self.graph.adj
-        picked = pick_branch_vertex(adj, grdf)
+        picked = pick_branch_vertex(state)
         if picked is None:
             raise AssertionError("incomplete state with no branch vertex")
         v, priority = picked
@@ -483,60 +463,56 @@ class RefinedEnumerator:
             )
             if self.assert_invariants:
                 for done in range(max(last_priority, 1), priority):
-                    assert check_phase_properties(adj, grdf, done), (
+                    assert check_phase_properties(state, done), (
                         f"phase {done} properties violated"
                     )
         fires = self.stats.rule_fires
-        old = grdf.labels[v]
-        once, twice, c1 = grdf.once, grdf.twice, grdf.c1
+        old = state.labels[v]
+        once, twice, c1 = state.once, state.twice, state.c1
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
         seed = (v, old, c1) if last_priority else None
-        for deny in (False, True):
-            if deny:
-                branch_deny_two(grdf, v)
-            else:
-                branch_set_two(grdf, v)
-                near = grdf.nbr[v] | 1 << v
-                grdf.twice = twice | once & near
-                grdf.once = once | near
-                grdf.c1 = grdf.once & ~grdf.twice
-            # A deny keeps the parent's 2-set and kept state, which passed
+        # v is active or not-1: set it to 2, then deny it the 2.
+        for new in (2, NOT_TWO if old == ACTIVE else 0):
+            state.relabel(v, new)
+            if new == 2:
+                state.add_two(v)
+            # A deny keeps the parent's 2-set and once/twice, which passed
             # the test.  The test reads only c1, nbr and the 2-set, which no
             # rule changes, so it runs before the pass; by I2 no 1 is next
             # to a 2 at a fixpoint, so the solver's saturation adds nothing.
-            alive = deny or self._private_near(v)
+            alive = new != 2 or self._private_near(v)
             if not alive:
                 self.stats.prunes += 1
             if alive or self.assert_invariants:
-                trace = apply_reductions(adj, grdf, seed)
+                trace = apply_reductions(state, seed)
                 child_measure = (self._check_child(parent_measure, alive)
                                  if self.assert_invariants else None)
                 if alive:
                     for step in trace.steps:
                         fires[step[0]] = fires.get(step[0], 0) + 1
                     self._node(child_measure, priority)
-                undo(trace, grdf)
-            grdf.relabel(v, old)
-            grdf.once, grdf.twice, grdf.c1 = once, twice, c1
+                undo(trace, state)
+            state.relabel(v, old)
+            state.once, state.twice, state.c1 = once, twice, c1
 
     def _check_child(self, parent_measure: float | None,
                      alive: bool) -> float:
         """Assert a child's fixpoint invariants; return its measure."""
-        adj, grdf = self.graph.adj, self.grdf
-        bad = violated_invariants(adj, grdf.labels)
+        adj, state = self.graph.adj, self.state
+        bad = violated_invariants(adj, state.labels)
         assert not bad, f"invariants {bad} violated after reductions"
-        assert check_phase_properties(adj, grdf, 0), (
+        assert check_phase_properties(state, 0), (
             "fixpoint edge conditions violated"
         )
-        kept = SearchState(adj, Grdf(list(grdf.labels)))
-        assert (grdf.masks, grdf.once, grdf.twice, grdf.c1) == (
-            kept.masks, kept.once, kept.twice, kept.c1), (
-            "kept state out of step")
-        child_measure = measure(grdf)
+        fresh = SearchState(adj, list(state.labels))
+        assert (state.masks, state.once, state.twice, state.c1) == (
+            fresh.masks, fresh.once, fresh.twice, fresh.c1), (
+            "search state out of step")
+        child_measure = measure(state)
         assert parent_measure is None or child_measure < parent_measure
         assert alive == (
-            gen_ext_rd(project_grdf(self.graph, grdf)) is not None
+            gen_ext_rd(project_grdf(self.graph, state)) is not None
         ), "local extension test disagrees with the solver"
         return child_measure
 
@@ -546,10 +522,10 @@ class RefinedEnumerator:
         Only 2-vertices within distance 2 of b can have lost their last
         private neighbor (a neighbor in ``c1``), and b needs one too.
         """
-        grdf = self.grdf
-        nbr, c1 = grdf.nbr, grdf.c1
+        state = self.state
+        nbr, c1 = state.nbr, state.c1
         ball = _around(nbr, nbr[b]) | nbr[b] | 1 << b
-        twos = ball & grdf.masks[2]
+        twos = ball & state.masks[2]
         while twos:
             low = twos & -twos
             if not nbr[low.bit_length() - 1] & c1:

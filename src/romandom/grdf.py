@@ -43,10 +43,6 @@ class Grdf:
         for v, x in enumerate(self.labels):
             self.masks[x] |= 1 << v
 
-    @classmethod
-    def all_active(cls, n: int) -> "Grdf":
-        return cls([ACTIVE] * n)
-
     def relabel(self, v: int, new: int) -> None:
         bit = 1 << v
         self.masks[self.labels[v]] ^= bit

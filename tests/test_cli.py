@@ -137,6 +137,30 @@ def test_extend_forbidden_witness(p2_file, capsys):
     assert _lines(capsys) == ["YES 11"]
 
 
+def test_extend_po_yes(p2_file, capsys):
+    assert main(["extend", p2_file, "00", "--order", "po"]) == 0
+    assert _lines(capsys) == ["YES 11"]
+
+
+def test_extend_po_no(p2_file, capsys):
+    # under the PO order the 1 next to the 2 can never be raised
+    assert main(["extend", p2_file, "12", "--order", "po"]) == 1
+    assert _lines(capsys) == ["NO"]
+
+
+def test_extend_po_forbidden_witness(p2_file, capsys):
+    assert main(["extend", p2_file, "20", "--order", "po",
+                 "--forbidden", "1"]) == 0
+    assert _lines(capsys) == ["YES 20"]
+
+
+@pytest.mark.parametrize("order", ["standard", "po"])
+def test_extend_forbidden_meets_two_set(p2_file, capsys, order):
+    assert main(["extend", p2_file, "20", "--order", order,
+                 "--forbidden", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_extend_bad_assignment(p2_file, capsys):
     assert main(["extend", p2_file, "012"]) == 2
 

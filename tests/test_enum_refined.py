@@ -11,11 +11,9 @@ from romandom import (Graph, enumerate_minimal_rdf_refined,
                       is_minimal_rdf)
 import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
-                                   RULE_V0, RULE_V2,
-                                   apply_reductions, branch_deny_two,
-                                   branch_set_two,
-                                   check_phase_properties, pick_branch_vertex,
-                                   undo)
+                                   RULE_V0, RULE_V2, SearchState,
+                                   apply_reductions, check_phase_properties,
+                                   pick_branch_vertex, undo)
 from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, consistent_with,
                            measure, violated_invariants)
 from romandom.oracle import brute_minimal_rdfs
@@ -27,7 +25,7 @@ def _adj(g: Graph) -> list[set[int]]:
 
 
 def test_measure_all_active():
-    assert measure(Grdf.all_active(7)) == 7.0
+    assert measure(Grdf([ACTIVE] * 7)) == 7.0
 
 
 def test_measure_leaf_zero():
@@ -55,24 +53,24 @@ def test_violated_invariants(p2):
 def test_reductions_two_next_to_active(p2):
     # the active ray is the 2-vertex's last candidate private neighbor
     adj = _adj(p2)
-    grdf = Grdf([2, ACTIVE])
-    trace = apply_reductions(adj, grdf)
+    grdf = SearchState(adj, [2, ACTIVE])
+    trace = apply_reductions(grdf)
     assert trace.steps[0] == (RULE_LPN, 1, ACTIVE, 0)
     assert grdf.labels == [2, 0]
 
 
 def test_reductions_two_next_to_several_active(k13):
     adj = _adj(k13)
-    grdf = Grdf([2, ACTIVE, ACTIVE, ACTIVE])
-    trace = apply_reductions(adj, grdf)
+    grdf = SearchState(adj, [2, ACTIVE, ACTIVE, ACTIVE])
+    trace = apply_reductions(grdf)
     assert trace.steps[0] == (RULE_V2, 1, ACTIVE, NOT_ONE)
     assert grdf.labels == [2, 0, 0, 0]
 
 
 def test_reductions_trapped_not_two(p2):
     adj = _adj(p2)
-    grdf = Grdf([NOT_TWO, NOT_TWO])
-    trace = apply_reductions(adj, grdf)
+    grdf = SearchState(adj, [NOT_TWO, NOT_TWO])
+    trace = apply_reductions(grdf)
     assert grdf.labels == [1, 1]
     assert trace.steps == [(RULE_NPD, 0, NOT_TWO, 1),
                            (RULE_NPD, 1, NOT_TWO, 1)]
@@ -83,8 +81,8 @@ def test_reductions_trapped_not_two(p2):
 
 def test_reductions_fixpoint_is_stable(p2):
     adj = _adj(p2)
-    grdf = Grdf([2, 0])
-    assert len(apply_reductions(adj, grdf)) == 0
+    grdf = SearchState(adj, [2, 0])
+    assert apply_reductions(grdf).steps == []
     assert grdf.labels == [2, 0]
 
 
@@ -94,8 +92,8 @@ def test_reductions_only_relabel_and_undo_restores():
         g = gen_random(7, 0.35, rng.randrange(10**6))
         labels = [rng.choice((ACTIVE, ACTIVE, 2, NOT_TWO)) for _ in range(g.n)]
         adj = _adj(g)
-        grdf = Grdf(list(labels))
-        trace = apply_reductions(adj, grdf)
+        grdf = SearchState(adj, list(labels))
+        trace = apply_reductions(grdf)
         assert adj == _adj(g)
         undo(trace, grdf)
         assert grdf.labels == labels
@@ -103,50 +101,32 @@ def test_reductions_only_relabel_and_undo_restores():
 
 def test_pick_branch_all_active_cycle():
     g = gen_cycle(5)
-    assert pick_branch_vertex(_adj(g), Grdf.all_active(5)) == (0, 1)
+    assert pick_branch_vertex(SearchState(_adj(g), [ACTIVE] * 5)) == (0, 1)
 
 
 def test_pick_branch_priority_two(p2):
     # a lone active vertex with no qualifying neighbors
-    assert pick_branch_vertex(_adj(p2), Grdf([ACTIVE, 0])) == (0, 2)
+    assert pick_branch_vertex(SearchState(_adj(p2), [ACTIVE, 0])) == (0, 2)
 
 
 def test_pick_branch_priority_three():
     g = gen_null(4)
-    grdf = Grdf([0, 1, 0, NOT_ONE])
-    assert pick_branch_vertex(_adj(g), grdf) == (3, 3)
+    grdf = SearchState(_adj(g), [0, 1, 0, NOT_ONE])
+    assert pick_branch_vertex(grdf) == (3, 3)
 
 
 def test_pick_branch_leaf_none(p2):
-    assert pick_branch_vertex(_adj(p2), Grdf([2, 0])) is None
-
-
-def test_branch_operations():
-    grdf = Grdf([ACTIVE, NOT_ONE, 0])
-    branch_set_two(grdf, 0)
-    assert grdf.labels[0] == 2
-    grdf.labels[0] = ACTIVE
-    branch_deny_two(grdf, 0)
-    assert grdf.labels[0] == NOT_TWO
-    branch_set_two(grdf, 1)
-    assert grdf.labels[1] == 2
-    grdf.labels[1] = NOT_ONE
-    branch_deny_two(grdf, 1)
-    assert grdf.labels[1] == 0
-    with pytest.raises(ValueError):
-        branch_set_two(grdf, 2)
-    with pytest.raises(ValueError):
-        branch_deny_two(grdf, 2)
+    assert pick_branch_vertex(SearchState(_adj(p2), [2, 0])) is None
 
 
 def test_phase_properties(p2):
     adj = _adj(p2)
-    assert check_phase_properties(adj, Grdf([2, 0]), 3)
-    assert not check_phase_properties(adj, Grdf([2, NOT_ONE]), 3)
-    assert not check_phase_properties(adj, Grdf([ACTIVE, 0]), 2)
-    assert check_phase_properties(adj, Grdf.all_active(2), 0)
+    assert check_phase_properties(SearchState(adj, [2, 0]), 3)
+    assert not check_phase_properties(SearchState(adj, [2, NOT_ONE]), 3)
+    assert not check_phase_properties(SearchState(adj, [ACTIVE, 0]), 2)
+    assert check_phase_properties(SearchState(adj, [ACTIVE] * 2), 0)
     with pytest.raises(ValueError):
-        check_phase_properties(adj, Grdf([2, 0]), 4)
+        check_phase_properties(SearchState(adj, [2, 0]), 4)
 
 
 def _run(g, **kwargs):
@@ -198,6 +178,7 @@ def test_refined_matches_sweep_beyond_oracle(n, seed):
     sweep = []
     enumerate_minimal_rdf_simple(g, sweep.append)
     assert sorted(out) == sorted(sweep) and len(set(out)) == len(out)
+    assert all(is_minimal_rdf(g, f) for f in out)
     assert stats.max_gap <= 2 * n
     assert stats.tree_nodes <= 50 * 1.9332 ** n
 
@@ -206,10 +187,10 @@ def test_reduction_soundness_against_oracle(monkeypatch):
     # a reduction pass must not change which minimal rdfs remain reachable
     records = []
 
-    def recording(adj, grdf, *args, **kwargs):
-        pre = list(grdf.labels)
-        trace = apply_reductions(adj, grdf, *args, **kwargs)
-        records.append((pre, list(grdf.labels)))
+    def recording(state, *args, **kwargs):
+        pre = list(state.labels)
+        trace = apply_reductions(state, *args, **kwargs)
+        records.append((pre, list(state.labels)))
         return trace
 
     monkeypatch.setattr(enum_refined, "apply_reductions", recording)
@@ -264,14 +245,14 @@ def test_seeded_reductions_match_full(monkeypatch):
     # exactly as a call that pends every vertex and rebuilds them
     checked = []
 
-    def compare(adj, grdf, branch):
+    def compare(grdf, branch):
         state = list(grdf.labels)
-        fresh = enum_refined.SearchState(adj, Grdf(list(state)))
+        fresh = SearchState(g.adj, list(state))
         assert (grdf.once, grdf.twice, grdf.c1) == (
             fresh.once, fresh.twice, fresh.c1)
-        trace = apply_reductions(adj, grdf, branch)
-        full = Grdf(state)
-        assert apply_reductions(adj, full).steps == trace.steps
+        trace = apply_reductions(grdf, branch)
+        full = SearchState(g.adj, state)
+        assert apply_reductions(full).steps == trace.steps
         assert full.labels == grdf.labels
         checked.append(branch)
         return trace
@@ -379,7 +360,7 @@ def test_rule_bitsets_match_reference():
                        rng.randrange(10**6))
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         counts = two_counts(g.adj, [v for v, x in enumerate(labels) if x == 2])
-        state = enum_refined.SearchState(g.adj, Grdf(labels))
+        state = SearchState(g.adj, labels)
         assert [(state.once >> v & 1, state.twice >> v & 1, state.c1 >> v & 1)
                 for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
                                          for c in counts]
@@ -403,8 +384,8 @@ def test_reductions_match_scan_on_random_labellings():
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         expected = list(labels)
         scan = _scan_reductions(g.adj, expected)
-        grdf = Grdf(labels)
-        assert apply_reductions(g.adj, grdf).steps == scan
+        grdf = SearchState(g.adj, labels)
+        assert apply_reductions(grdf).steps == scan
         assert grdf.labels == expected
         fired.update(step[0] for step in scan)
     assert fired == set(enum_refined._RULES)
@@ -415,10 +396,10 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch):
     # scan does from the same state
     calls = []
 
-    def compare(adj, grdf, branch):
+    def compare(grdf, branch):
         expected = list(grdf.labels)
-        scan = _scan_reductions(adj, expected)
-        trace = apply_reductions(adj, grdf, branch)
+        scan = _scan_reductions(g.adj, expected)
+        trace = apply_reductions(grdf, branch)
         assert trace.steps == scan
         assert grdf.labels == expected
         calls.append(branch)
@@ -504,9 +485,9 @@ def test_v0_tested_only_where_it_has_a_target(monkeypatch):
     start = []
     tested = []
 
-    def recording(adj, grdf, *args):
-        start.append(grdf.masks[ACTIVE] | grdf.masks[NOT_ONE])
-        return apply_reductions(adj, grdf, *args)
+    def recording(state, *args):
+        start.append(state.masks[ACTIVE] | state.masks[NOT_ONE])
+        return apply_reductions(state, *args)
 
     def v0(labels, masks, nbr, c1, v):
         tested.append(labels[v] != 0 or bool(nbr[v] & start[-1]))

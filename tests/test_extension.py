@@ -110,7 +110,7 @@ def test_project_grdf_examples(p2):
     assert inst.values == (2, 0) and inst.forbidden == frozenset()
     inst = project_grdf(p2, Grdf([NOT_TWO, ACTIVE]))
     assert inst.values == (0, 0) and inst.forbidden == frozenset({0})
-    inst = project_grdf(p2, Grdf.all_active(2))
+    inst = project_grdf(p2, Grdf([ACTIVE] * 2))
     assert inst.values == (0, 0) and inst.forbidden == frozenset()
 
 

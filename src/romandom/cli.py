@@ -5,14 +5,21 @@ query with witness), ``check`` (minimality report), ``gen`` (instance
 generators) and ``bench`` (CSV benchmark rows).  Exit codes: 0 for
 success / yes / minimal, 1 for no / not minimal, 2 for usage errors,
 130 when interrupted (Ctrl-C prints ``interrupted`` on stderr, with no
-traceback).  When the reader closes stdout early (``romandom enumerate
-g.edges | head``) the command stops quietly with exit code 0.
+traceback; ``enumerate --stats json`` prints the counters gathered so far
+first).  A refined search deeper than the recursion limit is a usage
+error: it exits 2 and suggests ``--mode simple``.  When the reader closes
+stdout early (``romandom enumerate g.edges | head``) the command stops
+quietly with exit code 0.
+
+:func:`main` may be called many times in one process; the parser is built
+on the first call and reused.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -53,7 +60,9 @@ def _check_mode(mode: str, order: str) -> None:
         raise UsageError("refined mode supports the standard order only")
 
 
-def _run_enumeration(g: Graph, mode: str, order: str, sink) -> EnumStats:
+def _run_enumeration(g: Graph, mode: str, order: str, sink,
+                     stats: EnumStats) -> EnumStats:
+    """Run one enumeration, keeping its counters in ``stats`` as it goes."""
     _check_mode(mode, order)
     if mode == "oracle":
         start = time.perf_counter()
@@ -61,34 +70,48 @@ def _run_enumeration(g: Graph, mode: str, order: str, sink) -> EnumStats:
             solutions = brute_minimal_rdfs(g, order=order)
         except OracleCapExceeded as exc:
             raise UsageError(str(exc)) from exc
+        stats.tree_nodes = 3 ** g.n
         for f in solutions:
             sink(f)
-        stats = EnumStats(solutions=len(solutions), tree_nodes=3 ** g.n)
+            stats.solutions += 1
         stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return stats
     if mode == "simple":
         if order == "po":
-            return enumerate_po_minimal_simple(g, sink)
-        return enumerate_minimal_rdf_simple(g, sink)
-    return enumerate_minimal_rdf_refined(g, sink)
+            return enumerate_po_minimal_simple(g, sink, stats=stats)
+        return enumerate_minimal_rdf_simple(g, sink, stats=stats)
+    try:
+        return enumerate_minimal_rdf_refined(g, sink, stats=stats)
+    except RecursionError as exc:
+        # The refined search recurses once per tree level.
+        raise UsageError(f"refined search on {g.n} vertices is deeper than "
+                         "the recursion limit; use --mode simple") from exc
 
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     collected: list[str] = []
-    out = sys.stdout
+    if args.count_only:
+        def sink(f):
+            pass
+    elif args.sorted:
+        def sink(f):
+            collected.append(format_assignment(f))
+    else:
+        write, flush = sys.stdout.write, sys.stdout.flush
 
-    def sink(f):
-        if args.count_only:
-            return
-        line = format_assignment(f)
-        if args.sorted:
-            collected.append(line)
-        else:
-            out.write(line + "\n")
-            out.flush()
+        def sink(f):
+            write(format_assignment(f) + "\n")
+            flush()
 
-    stats = _run_enumeration(g, args.mode, args.order, sink)
+    stats = EnumStats()
+    try:
+        _run_enumeration(g, args.mode, args.order, sink, stats)
+    except KeyboardInterrupt:
+        # Ctrl-C: report the counters gathered so far, then main exits 130.
+        if args.stats == "json":
+            print(json.dumps(stats.to_json()), file=sys.stderr)
+        raise
     if args.count_only:
         print(stats.solutions)
     elif args.sorted:
@@ -196,14 +219,21 @@ def _cmd_bench(args) -> int:
                      "wall_ms"])
     for g in graphs:
         for mode in modes:
-            stats = _run_enumeration(g, mode, args.order, lambda f: None)
+            stats = _run_enumeration(g, mode, args.order, lambda f: None,
+                                     EnumStats())
             writer.writerow([g.n, mode, stats.solutions, stats.tree_nodes,
                              stats.max_gap, stats.wall_ms])
             sys.stdout.flush()
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``romandom`` parser, built once per process and shared.
+
+    Parsing leaves it unchanged, so every call of :func:`main` reuses it;
+    callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="romandom",
         description="Minimal Roman dominating functions: enumeration, "

@@ -407,33 +407,39 @@ class RefinedEnumerator:
 
     ``assert_invariants`` turns on the state-invariant, phase-property and
     measure-monotonicity assertions at every fixpoint (slow; for tests).
+    The counters go into ``stats`` (a new :class:`EnumStats` by default) as
+    the search runs; :meth:`run` completes them even if the search raises.
     """
 
     def __init__(self, g: Graph, sink: Sink, *,
-                 assert_invariants: bool = False):
+                 assert_invariants: bool = False,
+                 stats: EnumStats | None = None):
         g.validate()
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
         self.state = SearchState(g.adj, [ACTIVE] * g.n)
-        self.stats = EnumStats()
+        self.stats = EnumStats() if stats is None else stats
         self._gap = 0
 
     def run(self) -> EnumStats:
         start = time.perf_counter()
-        if self.graph.n == 0:
-            # The empty assignment is vacuously a minimal rdf.
-            self.sink(())
-            self.stats.solutions = 1
-            self.stats.tree_nodes = 1
-        else:
-            self._node(parent_measure=None, last_priority=0)
-            self.stats.max_gap = max(self.stats.max_gap, self._gap)
-            # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
-            # only underflows towards 0.0.
-            self.stats.tree_ratio = (self.stats.tree_nodes
-                                     * 1.9332 ** -self.graph.n)
-        self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
+        try:
+            if self.graph.n == 0:
+                # The empty assignment is vacuously a minimal rdf.
+                self.sink(())
+                self.stats.solutions = 1
+                self.stats.tree_nodes = 1
+            else:
+                self._node(parent_measure=None, last_priority=0)
+        finally:
+            if self.graph.n:
+                self.stats.max_gap = max(self.stats.max_gap, self._gap)
+                # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
+                # only underflows towards 0.0.
+                self.stats.tree_ratio = (self.stats.tree_nodes
+                                         * 1.9332 ** -self.graph.n)
+            self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return self.stats
 
     def _emit(self) -> None:
@@ -535,8 +541,9 @@ class RefinedEnumerator:
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,
-                                  assert_invariants: bool = False
+                                  assert_invariants: bool = False,
+                                  stats: EnumStats | None = None
                                   ) -> EnumStats:
     """Deliver every minimal rdf of ``g`` exactly once; see module docs."""
-    return RefinedEnumerator(g, sink,
-                             assert_invariants=assert_invariants).run()
+    return RefinedEnumerator(g, sink, assert_invariants=assert_invariants,
+                             stats=stats).run()

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import romandom
-from romandom import gen_c5_copies, gen_cycle, to_edge_list
-from romandom.cli import main
+from romandom import gen_c5_copies, gen_cycle, gen_star, to_edge_list
+from romandom.cli import build_parser, main
 
 
 @pytest.fixture
@@ -83,16 +83,21 @@ def test_enumerate_stats_json(c5_file, capsys):
         stats["tree_nodes"] / 1.9332 ** 5)
 
 
-def _start_enumerate_c5pow4(tmp_path):
-    # 16^4 lines overflow the pipe buffer, so the run outlasts the reader
-    path = tmp_path / "c5pow4.edges"
-    path.write_text(to_edge_list(gen_c5_copies(4)))
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(romandom.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return env
+
+
+def _start_enumerate_c5pow4(tmp_path, *options):
+    # 16^4 lines overflow the pipe buffer, so the run outlasts the reader
+    path = tmp_path / "c5pow4.edges"
+    path.write_text(to_edge_list(gen_c5_copies(4)))
     return subprocess.Popen(
-        [sys.executable, "-m", "romandom.cli", "enumerate", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        [sys.executable, "-m", "romandom.cli", "enumerate", str(path),
+         *options],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
 
 
 def test_enumerate_closed_stdout_exits_quietly(tmp_path):
@@ -112,8 +117,71 @@ def test_enumerate_interrupt_exits_130(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 130
     assert len(first.strip()) == 20
+    assert err.strip() == b"interrupted", err
+
+
+@pytest.mark.parametrize("mode", ["refined", "simple"])
+def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
+    proc = _start_enumerate_c5pow4(tmp_path, "--mode", mode,
+                                   "--stats", "json")
+    first = proc.stdout.readline()
+    proc.send_signal(signal.SIGINT)
+    # Read through proc.stdout: readline may have buffered more lines.
+    rest, err = proc.stdout.read(), proc.stderr.read()
+    assert proc.wait(timeout=60) == 130
     assert b"Traceback" not in err, err
-    assert err.strip().endswith(b"interrupted"), err
+    *_, stats_line, last = err.splitlines()
+    assert last == b"interrupted"
+    stats = json.loads(stats_line)
+    # The line being written when Ctrl-C came is not counted yet.
+    written = (first + rest).count(b"\n")
+    assert stats["solutions"] <= written <= stats["solutions"] + 1
+    assert stats["solutions"] < 16 ** 4
+    assert stats["tree_nodes"] >= stats["solutions"]
+    assert stats["max_gap"] >= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "{path}", "--mode", "refined"],
+    ["bench", "--family", "star:400:400", "--modes", "refined"],
+])
+def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
+    path = tmp_path / "star400.edges"
+    path.write_text(to_edge_list(gen_star(400)))
+    code = ("import sys; sys.setrecursionlimit(300); "
+            "from romandom.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         *[arg.format(path=path) for arg in argv]],
+        capture_output=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr, proc.stderr
+    assert proc.stderr.startswith(b"error: refined search on 401 vertices")
+    assert proc.stderr.strip().endswith(b"use --mode simple")
+
+
+def test_parser_reuse_leaks_nothing_between_calls(c5_file, p2_file, capsys):
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: romandom enumerate")
+    assert "required: graph" in err
+    assert main(["enumerate", "/nonexistent/g.edges"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read")
+    assert main(["enumerate", p2_file, "--count-only"]) == 0
+    assert capsys.readouterr() == ("3\n", "")
+    assert main(["enumerate", p2_file, "--sorted"]) == 0
+    assert capsys.readouterr() == ("02\n11\n20\n", "")
+    # Raising the 1 next to the 2 is what the forbidden vertex 1 blocks.
+    assert main(["extend", c5_file, "01200", "--forbidden", "1"]) == 1
+    assert capsys.readouterr() == ("NO\n", "")
+    assert main(["extend", c5_file, "01200"]) == 0
+    assert capsys.readouterr() == ("YES 02201\n", "")
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_enumerate_missing_file(capsys):

@@ -36,12 +36,13 @@ can lose a private neighbor.  No rule changes what the test reads, so a
 set child is tested before its pass, and a dead one is never reduced.
 :func:`extension.gen_ext_rd` stays the reference, checked against it
 under ``assert_invariants``.
-The search has one state, a :class:`SearchState`: the labels with their
-bit sets and ``once``/``twice``, kept in place and undone on backtracking
-(as in Knuth's "Dancing Links"), so each rule test, pend, branch pick,
-completeness check and privacy test is a few operations on Python ints,
-not a scan.  A 2 enters ``once``/``twice`` only through
-:meth:`SearchState.add_two`.
+The search has one state, ``SearchState(g, labels)``, the only store of
+labels: the labels with their class bit sets and ``once``/``twice``, kept
+in place and undone on backtracking (as in Knuth's "Dancing Links"), over
+the graph's own neighborhood bit sets :attr:`.graph.Graph.nbr`.  So each
+rule test, pend, branch pick, completeness check and privacy test is a few
+operations on Python ints, not a scan.  A 2 enters ``once``/``twice`` only
+through :meth:`SearchState.add_two`.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from typing import Callable
 
 from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
-from .grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, measure,
-                   violated_invariants)
-from .rdf import Assignment, nbr_masks
+from .grdf import ACTIVE, NOT_ONE, NOT_TWO, measure, violated_invariants
+from .rdf import Assignment
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -67,8 +67,6 @@ RULE_NPD = "NPD"
 RULE_NPN = "NPN"
 RULE_ISOLATE = "Isolate"
 
-Adjacency = tuple[frozenset[int], ...]
-
 # A trace step is (rule, vertex, old_label, new_label).
 TraceStep = tuple[str, int, int, int]
 
@@ -80,33 +78,43 @@ class ReductionTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
 
-def undo(trace: ReductionTrace, grdf: Grdf) -> None:
-    """Reverse a recorded trace (mutates the grdf, relabelling inline)."""
-    labels, masks = grdf.labels, grdf.masks
+def undo(trace: ReductionTrace, state: SearchState) -> None:
+    """Reverse a recorded trace (mutates the state, relabelling inline)."""
+    labels, masks = state.labels, state.masks
     for _rule, v, old, new in reversed(trace.steps):
         masks[new] ^= 1 << v
         masks[old] |= 1 << v
         labels[v] = old
 
 
-class SearchState(Grdf):
-    """The search's one state: a grdf of a graph with its 2-domination.
+class SearchState:
+    """The search's one state: a labeling of a graph with its 2-domination.
 
-    ``nbr[v]`` is the neighborhood of v as a bit set.  ``once`` and
-    ``twice`` are the vertices with at least one and at least two
+    ``labels[v]`` is the label of v (see :mod:`.grdf`) and ``masks[x]`` the
+    vertices labeled x as a bit set; :meth:`relabel` keeps both.  ``nbr``
+    is the graph's :attr:`~.graph.Graph.nbr`, shared, not copied.  ``once``
+    and ``twice`` are the vertices with at least one and at least two
     2-vertices in their closed neighborhood, and ``c1 = once & ~twice``
     those with exactly one, its private neighbors.  No rule creates a 2,
     so only :meth:`add_two` (for each initial 2 and at a set branch) and
     the branch's restore change them.
     """
 
-    def __init__(self, adj: Adjacency, labels: list[int]):
-        super().__init__(labels)
-        self.nbr = nbr_masks(adj)
+    def __init__(self, g: Graph, labels: list[int]):
+        self.labels = labels
+        self.nbr = g.nbr
+        self.masks = [0] * (ACTIVE + 1)
         self.once = self.twice = self.c1 = 0
         for v, x in enumerate(labels):
+            self.masks[x] |= 1 << v
             if x == 2:
                 self.add_two(v)
+
+    def relabel(self, v: int, new: int) -> None:
+        bit = 1 << v
+        self.masks[self.labels[v]] ^= bit
+        self.masks[new] |= bit
+        self.labels[v] = new
 
     def add_two(self, v: int) -> None:
         """Count the 2 at v in ``once``, ``twice`` and ``c1``."""
@@ -116,7 +124,7 @@ class SearchState(Grdf):
         self.c1 = self.once & ~self.twice
 
 
-def _around(nbr: list[int], vertices: int) -> int:
+def _around(nbr: tuple[int, ...], vertices: int) -> int:
     # The union of the neighborhoods of a bit set of vertices.
     union = 0
     while vertices:
@@ -243,7 +251,7 @@ _TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
 # would never change a decision.
 
 
-def _pend_moved(pending: int, masks: list[int], nbr: list[int], c1: int,
+def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
                 n: int, w: int, old: int, new: int) -> int:
     """``pending`` with what the relabel old -> new of w can newly satisfy."""
     if old == ACTIVE and not masks[ACTIVE]:
@@ -334,7 +342,7 @@ def apply_reductions(state: SearchState,
         for w, new in changes:
             old = labels[w]
             steps.append((name, w, old, new))
-            # Grdf.relabel(w, new), inline.
+            # SearchState.relabel(w, new), inline.
             masks[old] ^= 1 << w
             masks[new] |= 1 << w
             labels[w] = new
@@ -373,16 +381,11 @@ def pick_branch_vertex(state: SearchState) -> tuple[int, int] | None:
 
 
 def check_phase_properties(state: SearchState, phase: int) -> bool:
-    """State conditions that must hold once the given phase is complete.
-
-    Phase 0 stands for "reductions are at fixpoint" and checks the edge
-    conditions; phases 1..3 correspond to the branching priorities.
+    """State conditions that must hold once branching priority 1 or 2 is
+    exhausted (the search checks them when it moves to a higher one).
     """
     masks, nbr = state.masks, state.nbr
     active = masks[ACTIVE]
-    if phase == 0:
-        return not (_around(nbr, masks[2]) & (masks[NOT_TWO] | active)
-                    or _around(nbr, masks[1]) & (masks[NOT_ONE] | active))
     if phase == 1:
         # An active vertex with an active neighbor and degree at least 2
         # has one active neighbor, and its others are 0 or not-1.
@@ -397,8 +400,6 @@ def check_phase_properties(state: SearchState, phase: int) -> bool:
         return not active and all(
             near & masks[NOT_ONE] and not near & masks[2]
             for v, near in enumerate(nbr) if masks[NOT_TWO] >> v & 1)
-    if phase == 3:
-        return not active | masks[NOT_ONE] | masks[NOT_TWO]
     raise ValueError(f"unknown phase {phase}")
 
 
@@ -418,27 +419,20 @@ class RefinedEnumerator:
         self.graph = g
         self.sink = sink
         self.assert_invariants = assert_invariants
-        self.state = SearchState(g.adj, [ACTIVE] * g.n)
+        self.state = SearchState(g, [ACTIVE] * g.n)
         self.stats = EnumStats() if stats is None else stats
         self._gap = 0
 
     def run(self) -> EnumStats:
         start = time.perf_counter()
         try:
-            if self.graph.n == 0:
-                # The empty assignment is vacuously a minimal rdf.
-                self.sink(())
-                self.stats.solutions = 1
-                self.stats.tree_nodes = 1
-            else:
-                self._node(parent_measure=None, last_priority=0)
+            self._node(parent_measure=None, last_priority=0)
         finally:
-            if self.graph.n:
-                self.stats.max_gap = max(self.stats.max_gap, self._gap)
-                # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
-                # only underflows towards 0.0.
-                self.stats.tree_ratio = (self.stats.tree_nodes
-                                         * 1.9332 ** -self.graph.n)
+            self.stats.max_gap = max(self.stats.max_gap, self._gap)
+            # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
+            # only underflows towards 0.0.
+            self.stats.tree_ratio = (self.stats.tree_nodes
+                                     * 1.9332 ** -self.graph.n)
             self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return self.stats
 
@@ -504,14 +498,15 @@ class RefinedEnumerator:
 
     def _check_child(self, parent_measure: float | None,
                      alive: bool) -> float:
-        """Assert a child's fixpoint invariants; return its measure."""
-        adj, state = self.graph.adj, self.state
-        bad = violated_invariants(adj, state.labels)
+        """Assert a child's fixpoint invariants; return its measure.
+
+        I2 and I3 include the fixpoint's edge conditions: no not-2 or
+        active vertex next to a 2, no not-1 or active vertex next to a 1.
+        """
+        g, state = self.graph, self.state
+        bad = violated_invariants(g.adj, state.labels)
         assert not bad, f"invariants {bad} violated after reductions"
-        assert check_phase_properties(state, 0), (
-            "fixpoint edge conditions violated"
-        )
-        fresh = SearchState(adj, list(state.labels))
+        fresh = SearchState(g, list(state.labels))
         assert (state.masks, state.once, state.twice, state.c1) == (
             fresh.masks, fresh.once, fresh.twice, fresh.c1), (
             "search state out of step")

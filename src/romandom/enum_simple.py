@@ -18,7 +18,7 @@ import time
 from typing import Callable
 
 from .graph import Graph
-from .rdf import Assignment, nbr_masks
+from .rdf import Assignment
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
@@ -42,7 +42,7 @@ def _walk(g: Graph, sink: Sink, po: bool,
     stats = EnumStats() if stats is None else stats
     n = g.n
     order = range(n) if po else range(n - 1, -1, -1)
-    nbr = nbr_masks(g.adj)
+    nbr = g.nbr
     bits = [1 << x for x in range(n)]
     near = [m | b for m, b in zip(nbr, bits)]
     test = near if po else nbr

@@ -11,10 +11,14 @@ vol(V2)) for the 2-set V2 after saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .graph import Graph
-from .grdf import Grdf, NOT_TWO
+from .grdf import NOT_TWO
 from .rdf import Assignment, lonely_twos, two_counts, two_set
+
+if TYPE_CHECKING:
+    from .enum_refined import SearchState
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,8 @@ class ExtensionInstance:
         v2 = two_set(self.graph, self.values)
         forbidden, n = self.forbidden, self.graph.n
         if forbidden and not 0 <= min(forbidden) <= max(forbidden) < n:
-            raise ValueError("forbidden ids must lie in [0, n)")
+            bad = sorted(v for v in forbidden if not 0 <= v < n)
+            raise ValueError(f"forbidden ids must lie in [0, {n}): {bad}")
         if not forbidden.isdisjoint(v2):
             raise ValueError("forbidden set intersects the 2-set of the "
                              f"assignment: {sorted(forbidden & set(v2))}")
@@ -105,14 +110,14 @@ def gen_ext_po_rd(inst: ExtensionInstance) -> Assignment | None:
     return _solve(inst, po=True)
 
 
-def project_grdf(g: Graph, grdf: Grdf) -> ExtensionInstance:
+def project_grdf(g: Graph, state: SearchState) -> ExtensionInstance:
     """Extension query for a search-tree state.
 
     Active, 0-, not-1- and not-2-labeled vertices project to 0; the 1- and
     2-labels carry over; the forbidden set collects the not-2 labels.
     """
-    values = tuple(x if x in (1, 2) else 0 for x in grdf.labels)
+    values = tuple(x if x in (1, 2) else 0 for x in state.labels)
     forbidden = frozenset(
-        v for v, x in enumerate(grdf.labels) if x == NOT_TWO
+        v for v, x in enumerate(state.labels) if x == NOT_TWO
     )
     return ExtensionInstance(g, values, forbidden)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -28,11 +29,18 @@ class Graph:
 
     Invariants: adjacency is symmetric and irreflexive, all neighbor ids
     lie in ``[0, n)``.  Use :meth:`from_edges` rather than building the
-    adjacency tuple by hand.
+    adjacency tuple by hand.  :attr:`nbr` holds the same neighborhoods as
+    bit sets; it is built on first access and not compared or hashed.
     """
 
     n: int
     adj: tuple[frozenset[int], ...]
+
+    @cached_property
+    def nbr(self) -> tuple[int, ...]:
+        """The open neighborhood of every vertex as a bit set (bit u =
+        vertex u), for the searches and the oracle."""
+        return tuple(sum(1 << u for u in near) for near in self.adj)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -2,12 +2,18 @@
 
 Besides the final values 0, 1, 2, a vertex can carry the promise
 NOT_ONE ("will end up 0 or 2"), the promise NOT_TWO ("will end up 0 or
-1"), or be ACTIVE (no decision yet).
+1"), or be ACTIVE (no decision yet).  A labeling is a list indexed by
+vertex id; the search keeps it, with its label classes as bit sets, in
+:class:`.enum_refined.SearchState`.  This module holds the labels, the
+paper's measure and the checks on a labeling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .enum_refined import SearchState
 
 NOT_ONE = 3
 NOT_TWO = 4
@@ -28,39 +34,17 @@ W1 = 2.0 / 3.0
 W2 = 0.38488
 
 
-@dataclass
-class Grdf:
-    """A labeling of all vertices by {0, 1, 2, NOT_ONE, NOT_TWO, ACTIVE}.
-
-    ``masks[x]``: the vertices labeled x as bits; kept by :meth:`relabel`.
-    """
-
-    labels: list[int]
-    masks: list[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.masks = [0] * (ACTIVE + 1)
-        for v, x in enumerate(self.labels):
-            self.masks[x] |= 1 << v
-
-    def relabel(self, v: int, new: int) -> None:
-        bit = 1 << v
-        self.masks[self.labels[v]] ^= bit
-        self.masks[new] |= bit
-        self.labels[v] = new
-
-
 def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:
     """Does the total assignment respect every label promise?"""
     return all(a in _PERMITTED[x] for a, x in zip(assignment, labels))
 
 
-def measure(grdf: Grdf) -> float:
+def measure(state: SearchState) -> float:
     """Search-progress potential: |active| + W1*|not-1| + W2*|not-2|.
 
     At most n for the all-active start, exactly 0 at a fully resolved leaf.
     """
-    masks = grdf.masks
+    masks = state.masks
     return (masks[ACTIVE].bit_count() + W1 * masks[NOT_ONE].bit_count()
             + W2 * masks[NOT_TWO].bit_count())
 

@@ -12,7 +12,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .rdf import Assignment, leq_po, leq_standard, nbr_masks
+from .rdf import Assignment, leq_po, leq_standard
 
 DEFAULT_CAP = 12
 
@@ -30,7 +30,7 @@ def _check_cap(n: int, cap: int) -> None:
 
 def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
     # Returns (assignment, ones-bitmask, twos-bitmask) for every rdf.
-    adj_mask = nbr_masks(g.adj)
+    nbr = g.nbr
     out = []
     for f in product((0, 1, 2), repeat=g.n):
         ones = twos = 0
@@ -40,7 +40,7 @@ def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
             elif x == 2:
                 twos |= 1 << v
         for v, x in enumerate(f):
-            if x == 0 and not (adj_mask[v] & twos):
+            if x == 0 and not (nbr[v] & twos):
                 break
         else:
             out.append((f, ones, twos))

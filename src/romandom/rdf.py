@@ -106,11 +106,6 @@ def two_counts(adj: tuple[frozenset[int], ...],
     return c
 
 
-def nbr_masks(adj: tuple[frozenset[int], ...]) -> list[int]:
-    """The open neighborhood of every vertex as a bit set (bit u = vertex u)."""
-    return [sum(1 << u for u in near) for near in adj]
-
-
 def private_neighbors(g: Graph, d: Iterable[int], v: int) -> set[int]:
     """N[v] minus N[D \\ {v}]: vertices dominated only by v within d."""
     dset = set(d)

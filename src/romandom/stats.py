@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -30,4 +30,7 @@ class EnumStats:
     prunes: int = 0
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The counters as a dict, with copies of the two dicts in it."""
+        return {**vars(self),
+                "phase_transitions": dict(self.phase_transitions),
+                "rule_fires": dict(self.rule_fires)}

@@ -60,6 +60,11 @@ def test_enumerate_order_zero(tmp_path, capsys):
     assert _lines(capsys) == ["1"]
     assert main(["enumerate", str(path)]) == 0
     assert capsys.readouterr().out == "\n"
+    # the empty root is a leaf: one node, and 1 / 1.9332^0 = 1.0
+    assert main(["enumerate", str(path), "--stats", "json"]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert (stats["solutions"], stats["tree_nodes"], stats["tree_ratio"]) == (
+        1, 1, 1.0)
 
 
 def test_enumerate_refined_po_rejected(c5_file, capsys):
@@ -235,6 +240,8 @@ def test_extend_bad_assignment(p2_file, capsys):
 
 def test_extend_bad_forbidden(p2_file, capsys):
     assert main(["extend", p2_file, "00", "--forbidden", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "must lie in" in err and "[7]" in err
     assert main(["extend", p2_file, "00", "--forbidden", "x"]) == 2
 
 

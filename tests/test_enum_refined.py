@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -14,7 +16,7 @@ from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
                                    RULE_V0, RULE_V2, SearchState,
                                    apply_reductions, check_phase_properties,
                                    pick_branch_vertex, undo)
-from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, Grdf, consistent_with,
+from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, consistent_with,
                            measure, violated_invariants)
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import two_counts
@@ -25,15 +27,15 @@ def _adj(g: Graph) -> list[set[int]]:
 
 
 def test_measure_all_active():
-    assert measure(Grdf([ACTIVE] * 7)) == 7.0
+    assert measure(SearchState(gen_cycle(7), [ACTIVE] * 7)) == 7.0
 
 
 def test_measure_leaf_zero():
-    assert measure(Grdf([0, 1, 2, 2])) == 0.0
+    assert measure(SearchState(gen_null(4), [0, 1, 2, 2])) == 0.0
 
 
 def test_measure_default_weights():
-    got = measure(Grdf([NOT_ONE, NOT_TWO]))
+    got = measure(SearchState(gen_null(2), [NOT_ONE, NOT_TWO]))
     assert got == pytest.approx(2 / 3 + 0.38488)
 
 
@@ -48,20 +50,21 @@ def test_violated_invariants(p2):
     assert violated_invariants(adj, [0, NOT_TWO]) == ["I1", "I4"]
     assert violated_invariants(adj, [2, 1]) == ["I2", "I3"]
     assert violated_invariants(adj, [2, 0]) == []
+    # the fixpoint's edge conditions are part of I2 and I3
+    assert violated_invariants(adj, [2, ACTIVE]) == ["I2"]
+    assert violated_invariants(adj, [1, NOT_ONE]) == ["I1", "I3"]
 
 
 def test_reductions_two_next_to_active(p2):
     # the active ray is the 2-vertex's last candidate private neighbor
-    adj = _adj(p2)
-    grdf = SearchState(adj, [2, ACTIVE])
+    grdf = SearchState(p2, [2, ACTIVE])
     trace = apply_reductions(grdf)
     assert trace.steps[0] == (RULE_LPN, 1, ACTIVE, 0)
     assert grdf.labels == [2, 0]
 
 
 def test_reductions_two_next_to_several_active(k13):
-    adj = _adj(k13)
-    grdf = SearchState(adj, [2, ACTIVE, ACTIVE, ACTIVE])
+    grdf = SearchState(k13, [2, ACTIVE, ACTIVE, ACTIVE])
     trace = apply_reductions(grdf)
     assert trace.steps[0] == (RULE_V2, 1, ACTIVE, NOT_ONE)
     assert grdf.labels == [2, 0, 0, 0]
@@ -69,7 +72,7 @@ def test_reductions_two_next_to_several_active(k13):
 
 def test_reductions_trapped_not_two(p2):
     adj = _adj(p2)
-    grdf = SearchState(adj, [NOT_TWO, NOT_TWO])
+    grdf = SearchState(p2, [NOT_TWO, NOT_TWO])
     trace = apply_reductions(grdf)
     assert grdf.labels == [1, 1]
     assert trace.steps == [(RULE_NPD, 0, NOT_TWO, 1),
@@ -80,8 +83,7 @@ def test_reductions_trapped_not_two(p2):
 
 
 def test_reductions_fixpoint_is_stable(p2):
-    adj = _adj(p2)
-    grdf = SearchState(adj, [2, 0])
+    grdf = SearchState(p2, [2, 0])
     assert apply_reductions(grdf).steps == []
     assert grdf.labels == [2, 0]
 
@@ -92,7 +94,7 @@ def test_reductions_only_relabel_and_undo_restores():
         g = gen_random(7, 0.35, rng.randrange(10**6))
         labels = [rng.choice((ACTIVE, ACTIVE, 2, NOT_TWO)) for _ in range(g.n)]
         adj = _adj(g)
-        grdf = SearchState(adj, list(labels))
+        grdf = SearchState(g, list(labels))
         trace = apply_reductions(grdf)
         assert adj == _adj(g)
         undo(trace, grdf)
@@ -101,32 +103,34 @@ def test_reductions_only_relabel_and_undo_restores():
 
 def test_pick_branch_all_active_cycle():
     g = gen_cycle(5)
-    assert pick_branch_vertex(SearchState(_adj(g), [ACTIVE] * 5)) == (0, 1)
+    assert pick_branch_vertex(SearchState(g, [ACTIVE] * 5)) == (0, 1)
 
 
 def test_pick_branch_priority_two(p2):
     # a lone active vertex with no qualifying neighbors
-    assert pick_branch_vertex(SearchState(_adj(p2), [ACTIVE, 0])) == (0, 2)
+    assert pick_branch_vertex(SearchState(p2, [ACTIVE, 0])) == (0, 2)
 
 
 def test_pick_branch_priority_three():
     g = gen_null(4)
-    grdf = SearchState(_adj(g), [0, 1, 0, NOT_ONE])
+    grdf = SearchState(g, [0, 1, 0, NOT_ONE])
     assert pick_branch_vertex(grdf) == (3, 3)
 
 
 def test_pick_branch_leaf_none(p2):
-    assert pick_branch_vertex(SearchState(_adj(p2), [2, 0])) is None
+    assert pick_branch_vertex(SearchState(p2, [2, 0])) is None
 
 
 def test_phase_properties(p2):
-    adj = _adj(p2)
-    assert check_phase_properties(SearchState(adj, [2, 0]), 3)
-    assert not check_phase_properties(SearchState(adj, [2, NOT_ONE]), 3)
-    assert not check_phase_properties(SearchState(adj, [ACTIVE, 0]), 2)
-    assert check_phase_properties(SearchState(adj, [ACTIVE] * 2), 0)
-    with pytest.raises(ValueError):
-        check_phase_properties(SearchState(adj, [2, 0]), 4)
+    assert check_phase_properties(SearchState(p2, [ACTIVE] * 2), 1)
+    assert not check_phase_properties(SearchState(gen_star(2), [ACTIVE] * 3),
+                                      1)
+    assert check_phase_properties(SearchState(p2, [NOT_ONE, NOT_TWO]), 2)
+    assert not check_phase_properties(SearchState(p2, [ACTIVE, 0]), 2)
+    # the search checks only phases 1 and 2
+    for phase in (0, 3, 4):
+        with pytest.raises(ValueError):
+            check_phase_properties(SearchState(p2, [2, 0]), phase)
 
 
 def _run(g, **kwargs):
@@ -147,8 +151,11 @@ def test_refined_null4_single_solution():
 
 
 def test_refined_order_zero_graph():
+    # the empty root is a leaf, so the search emits () like any leaf
     out, stats = _run(Graph.from_edges(0, []))
-    assert out == [()] and stats.solutions == 1
+    assert out == [()]
+    assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (1, 1, 0)
+    assert stats.tree_ratio == 1.0
 
 
 def test_refined_matches_oracle_with_assertions(catalog5):
@@ -247,11 +254,11 @@ def test_seeded_reductions_match_full(monkeypatch):
 
     def compare(grdf, branch):
         state = list(grdf.labels)
-        fresh = SearchState(g.adj, list(state))
+        fresh = SearchState(g, list(state))
         assert (grdf.once, grdf.twice, grdf.c1) == (
             fresh.once, fresh.twice, fresh.c1)
         trace = apply_reductions(grdf, branch)
-        full = SearchState(g.adj, state)
+        full = SearchState(g, state)
         assert apply_reductions(full).steps == trace.steps
         assert full.labels == grdf.labels
         checked.append(branch)
@@ -360,7 +367,7 @@ def test_rule_bitsets_match_reference():
                        rng.randrange(10**6))
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         counts = two_counts(g.adj, [v for v, x in enumerate(labels) if x == 2])
-        state = SearchState(g.adj, labels)
+        state = SearchState(g, labels)
         assert [(state.once >> v & 1, state.twice >> v & 1, state.c1 >> v & 1)
                 for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
                                          for c in counts]
@@ -384,7 +391,7 @@ def test_reductions_match_scan_on_random_labellings():
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         expected = list(labels)
         scan = _scan_reductions(g.adj, expected)
-        grdf = SearchState(g.adj, labels)
+        grdf = SearchState(g, labels)
         assert apply_reductions(grdf).steps == scan
         assert grdf.labels == expected
         fired.update(step[0] for step in scan)
@@ -516,3 +523,22 @@ def test_refined_stats_phase_transitions(c5):
     _, stats = _run(c5)
     assert sum(stats.phase_transitions.values()) > 0
     assert stats.tree_nodes > 0
+
+
+def test_stats_to_json_is_a_shallow_copy():
+    _, stats = _run(gen_c5_copies(2))
+    assert stats.rule_fires and stats.phase_transitions and stats.prunes
+    before = dataclasses.asdict(stats)
+    got = stats.to_json()
+    assert got == before
+    assert json.dumps(got) == json.dumps(before)
+    got["rule_fires"].clear()
+    got["phase_transitions"]["0->1"] = -1
+    got["solutions"] = -1
+    assert dataclasses.asdict(stats) == before
+
+
+def test_state_shares_the_graph_neighborhoods(c5):
+    state = SearchState(c5, [ACTIVE] * 5)
+    assert state.nbr is c5.nbr
+    assert SearchState(c5, [2, 0, 1, 1, 0]).nbr is state.nbr

@@ -7,7 +7,8 @@ from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
                       gen_cycle, gen_ext_po_rd, gen_ext_rd, gen_null,
                       gen_random, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
                       leq_po, leq_standard, project_grdf)
-from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, Grdf
+from romandom.enum_refined import SearchState
+from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
 from romandom.oracle import brute_ext, brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
                           COND_PRIVACY, minimality_report, two_counts,
@@ -87,8 +88,10 @@ def test_solvers_reject_values_outside_012(p2, solver, f):
 
 @pytest.mark.parametrize("forbidden", [{5}, {-1}, {0, 2}])
 def test_instance_rejects_forbidden_out_of_range(p2, forbidden):
-    with pytest.raises(ValueError, match="must lie in"):
+    with pytest.raises(ValueError, match="must lie in") as info:
         ExtensionInstance(p2, (0, 0), frozenset(forbidden))
+    # the message names exactly the offending ids
+    assert str(info.value).endswith(str(sorted(forbidden - {0, 1})))
 
 
 def test_instance_keeps_its_two_set():
@@ -106,11 +109,11 @@ def test_instance_rejects_forbidden_two(p2):
 
 
 def test_project_grdf_examples(p2):
-    inst = project_grdf(p2, Grdf([2, NOT_ONE]))
+    inst = project_grdf(p2, SearchState(p2, [2, NOT_ONE]))
     assert inst.values == (2, 0) and inst.forbidden == frozenset()
-    inst = project_grdf(p2, Grdf([NOT_TWO, ACTIVE]))
+    inst = project_grdf(p2, SearchState(p2, [NOT_TWO, ACTIVE]))
     assert inst.values == (0, 0) and inst.forbidden == frozenset({0})
-    inst = project_grdf(p2, Grdf([ACTIVE] * 2))
+    inst = project_grdf(p2, SearchState(p2, [ACTIVE] * 2))
     assert inst.values == (0, 0) and inst.forbidden == frozenset()
 
 

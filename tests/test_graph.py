@@ -8,6 +8,28 @@ from romandom import (Graph, closed_neighborhood, gen_c5_copies, gen_cycle,
 from romandom.graph import GraphFormatError
 
 
+@pytest.mark.parametrize("n, p, seed", [(0, 0.5, 1), (1, 0.5, 2),
+                                        (12, 0.3, 3), (70, 0.1, 4),
+                                        (130, 0.05, 5)])
+def test_nbr_bits_match_adjacency(n, p, seed):
+    g = gen_random(n, p, seed)
+    assert "nbr" not in vars(g)  # built on first access only
+    nbr = g.nbr
+    assert len(nbr) == n
+    assert [{u for u in range(n) if bits >> u & 1} for bits in nbr] == [
+        set(near) for near in g.adj]
+    assert all(bits >> n == 0 for bits in nbr)
+    assert g.nbr is nbr
+
+
+def test_nbr_leaves_equality_and_hash():
+    g, h = gen_cycle(9), gen_cycle(9)
+    before = hash(g)
+    g.nbr
+    assert g == h and hash(g) == hash(h) == before
+    assert g != gen_star(8) and "nbr" not in repr(g)
+
+
 def test_parse_p2():
     g = parse_edge_list("2 1\n0 1")
     assert g.n == 2

@@ -32,7 +32,7 @@ from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                parse_edge_list, to_edge_list)
 from .extension import ExtensionInstance
 from .graph import Graph, GraphFormatError
-from .oracle import OracleCapExceeded
+from .oracle import DEFAULT_CAP, OracleCapExceeded
 from .rdf import minimality_report
 from .stats import EnumStats
 
@@ -202,6 +202,8 @@ def _bench_instances(spec: str) -> list[Graph]:
     except ValueError:
         raise UsageError("family spec must look like name:lo:hi, "
                          "e.g. c5pow:1:3") from None
+    if not ks:
+        raise UsageError(f"empty family range {lo}..{hi}")
     return [_build(name, [k]) for k in ks]
 
 
@@ -212,6 +214,11 @@ def _cmd_bench(args) -> int:
     for mode in modes:
         _check_mode(mode, args.order)
     graphs = _bench_instances(args.family)
+    n = max(g.n for g in graphs)
+    if "oracle" in modes and n > DEFAULT_CAP:
+        # Before any row, as the oracle would refuse only at its own row.
+        raise UsageError(f"oracle mode refused: n={n} exceeds "
+                         f"cap={DEFAULT_CAP}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
                      "wall_ms"])

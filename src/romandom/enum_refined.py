@@ -34,8 +34,9 @@ the vertices dominated by at least one/two 2-vertices, the primitive of
 the subset walk in :mod:`.enum_simple`, and only 2-vertices near a new 2
 can lose a private neighbor.  No rule changes what the test reads, so a
 set child is tested before its pass, and a dead one is never reduced.
-:func:`extension.gen_ext_rd` stays the reference, checked against it
-under ``assert_invariants``.
+:func:`extension.gen_ext_rd` stays the reference: the search asserts
+nothing, and the tests check it against the solver and against the
+invariants and the measure of :mod:`.grdf` by wrapping it from outside.
 The search has one state, ``SearchState(g, labels)``, the only store of
 labels: the labels with their class bit sets and ``once``/``twice``, kept
 in place and undone on backtracking (as in Knuth's "Dancing Links"), over
@@ -51,9 +52,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .extension import gen_ext_rd, project_grdf
 from .graph import Graph
-from .grdf import ACTIVE, NOT_ONE, NOT_TWO, measure, violated_invariants
+from .grdf import ACTIVE, NOT_ONE, NOT_TWO
 from .rdf import Assignment
 from .stats import EnumStats
 
@@ -382,7 +382,7 @@ def pick_branch_vertex(state: SearchState) -> tuple[int, int] | None:
 
 def check_phase_properties(state: SearchState, phase: int) -> bool:
     """State conditions that must hold once branching priority 1 or 2 is
-    exhausted (the search checks them when it moves to a higher one).
+    exhausted (the tests check them where the search moves to a higher one).
     """
     masks, nbr = state.masks, state.nbr
     active = masks[ACTIVE]
@@ -406,19 +406,20 @@ def check_phase_properties(state: SearchState, phase: int) -> bool:
 class RefinedEnumerator:
     """One enumeration run; create, then call :meth:`run` once.
 
-    ``assert_invariants`` turns on the state-invariant, phase-property and
-    measure-monotonicity assertions at every fixpoint (slow; for tests).
     The counters go into ``stats`` (a new :class:`EnumStats` by default) as
     the search runs; :meth:`run` completes them even if the search raises.
+    The search itself asserts nothing: the tests check every entered child
+    (invariants, rebuilt state, falling measure, a solver witness), every
+    pruned child (no witness after a full pass on a copy) and the phase
+    properties by wrapping :func:`apply_reductions`, :meth:`_private_near`
+    and :meth:`_node`.
     """
 
     def __init__(self, g: Graph, sink: Sink, *,
-                 assert_invariants: bool = False,
                  stats: EnumStats | None = None):
         g.validate()
         self.graph = g
         self.sink = sink
-        self.assert_invariants = assert_invariants
         self.state = SearchState(g, [ACTIVE] * g.n)
         self.stats = EnumStats() if stats is None else stats
         self._gap = 0
@@ -426,7 +427,7 @@ class RefinedEnumerator:
     def run(self) -> EnumStats:
         start = time.perf_counter()
         try:
-            self._node(parent_measure=None, last_priority=0)
+            self._node(last_priority=0)
         finally:
             self.stats.max_gap = max(self.stats.max_gap, self._gap)
             # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
@@ -443,8 +444,8 @@ class RefinedEnumerator:
         self.stats.max_gap = max(self.stats.max_gap, self._gap)
         self._gap = 0
 
-    def _node(self, parent_measure: float | None, last_priority: int) -> None:
-        """Visit one search node (``parent_measure`` only when asserting)."""
+    def _node(self, last_priority: int) -> None:
+        """Visit one search node, at a reduction fixpoint but for the root."""
         self.stats.tree_nodes += 1
         state = self.state
         masks = state.masks
@@ -452,20 +453,13 @@ class RefinedEnumerator:
             self._emit()
             return
         self._gap += 1
-        picked = pick_branch_vertex(state)
-        if picked is None:
-            raise AssertionError("incomplete state with no branch vertex")
-        v, priority = picked
+        # By I4 an incomplete fixpoint has an active or not-1 vertex.
+        v, priority = pick_branch_vertex(state)
         if priority > last_priority:
             key = f"{last_priority}->{priority}"
             self.stats.phase_transitions[key] = (
                 self.stats.phase_transitions.get(key, 0) + 1
             )
-            if self.assert_invariants:
-                for done in range(max(last_priority, 1), priority):
-                    assert check_phase_properties(state, done), (
-                        f"phase {done} properties violated"
-                    )
         fires = self.stats.rule_fires
         old = state.labels[v]
         once, twice, c1 = state.once, state.twice, state.c1
@@ -481,41 +475,16 @@ class RefinedEnumerator:
             # the test.  The test reads only c1, nbr and the 2-set, which no
             # rule changes, so it runs before the pass; by I2 no 1 is next
             # to a 2 at a fixpoint, so the solver's saturation adds nothing.
-            alive = new != 2 or self._private_near(v)
-            if not alive:
-                self.stats.prunes += 1
-            if alive or self.assert_invariants:
+            if new != 2 or self._private_near(v):
                 trace = apply_reductions(state, seed)
-                child_measure = (self._check_child(parent_measure, alive)
-                                 if self.assert_invariants else None)
-                if alive:
-                    for step in trace.steps:
-                        fires[step[0]] = fires.get(step[0], 0) + 1
-                    self._node(child_measure, priority)
+                for step in trace.steps:
+                    fires[step[0]] = fires.get(step[0], 0) + 1
+                self._node(priority)
                 undo(trace, state)
+            else:
+                self.stats.prunes += 1
             state.relabel(v, old)
             state.once, state.twice, state.c1 = once, twice, c1
-
-    def _check_child(self, parent_measure: float | None,
-                     alive: bool) -> float:
-        """Assert a child's fixpoint invariants; return its measure.
-
-        I2 and I3 include the fixpoint's edge conditions: no not-2 or
-        active vertex next to a 2, no not-1 or active vertex next to a 1.
-        """
-        g, state = self.graph, self.state
-        bad = violated_invariants(g.adj, state.labels)
-        assert not bad, f"invariants {bad} violated after reductions"
-        fresh = SearchState(g, list(state.labels))
-        assert (state.masks, state.once, state.twice, state.c1) == (
-            fresh.masks, fresh.once, fresh.twice, fresh.c1), (
-            "search state out of step")
-        child_measure = measure(state)
-        assert parent_measure is None or child_measure < parent_measure
-        assert alive == (
-            gen_ext_rd(project_grdf(self.graph, state)) is not None
-        ), "local extension test disagrees with the solver"
-        return child_measure
 
     def _private_near(self, b: int) -> bool:
         """The extension test after setting b to 2, from the parent's pass.
@@ -536,9 +505,7 @@ class RefinedEnumerator:
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,
-                                  assert_invariants: bool = False,
                                   stats: EnumStats | None = None
                                   ) -> EnumStats:
     """Deliver every minimal rdf of ``g`` exactly once; see module docs."""
-    return RefinedEnumerator(g, sink, assert_invariants=assert_invariants,
-                             stats=stats).run()
+    return RefinedEnumerator(g, sink, stats=stats).run()

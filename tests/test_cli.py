@@ -106,11 +106,11 @@ def _start_enumerate_c5pow4(tmp_path, *options):
 
 
 def test_enumerate_closed_stdout_exits_quietly(tmp_path):
-    proc = _start_enumerate_c5pow4(tmp_path)
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with _start_enumerate_c5pow4(tmp_path) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert len(first.strip()) == 20
     assert b"Traceback" not in err and b"Error" not in err, err
 
@@ -127,13 +127,13 @@ def test_enumerate_interrupt_exits_130(tmp_path):
 
 @pytest.mark.parametrize("mode", ["refined", "simple"])
 def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
-    proc = _start_enumerate_c5pow4(tmp_path, "--mode", mode,
-                                   "--stats", "json")
-    first = proc.stdout.readline()
-    proc.send_signal(signal.SIGINT)
-    # Read through proc.stdout: readline may have buffered more lines.
-    rest, err = proc.stdout.read(), proc.stderr.read()
-    assert proc.wait(timeout=60) == 130
+    with _start_enumerate_c5pow4(tmp_path, "--mode", mode,
+                                 "--stats", "json") as proc:
+        first = proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        # Read through proc.stdout: readline may have buffered more lines.
+        rest, err = proc.stdout.read(), proc.stderr.read()
+        assert proc.wait(timeout=60) == 130
     assert b"Traceback" not in err, err
     *_, stats_line, last = err.splitlines()
     assert last == b"interrupted"
@@ -302,6 +302,19 @@ def test_bench_bad_family(capsys):
     assert main(["bench", "--family", "tree:1:2", "--modes", "simple"]) == 2
     assert main(["bench", "--family", "c5pow:a:3", "--modes", "simple"]) == 2
     assert main(["bench", "--family", "cycle:1:3", "--modes", "simple"]) == 2
+    # an empty range is a usage error, not a bare header
+    capsys.readouterr()
+    assert main(["bench", "--family", "c5pow:3:1", "--modes", "simple"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "empty family range 3..1" in err
+
+
+def test_bench_oracle_above_cap_rejected_before_output(capsys):
+    # c5pow:1:3 reaches n = 15; no row may go out before the refusal
+    assert main(["bench", "--family", "c5pow:1:3",
+                 "--modes", "simple,oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n=15 exceeds cap=12" in err
 
 
 def test_bench_refined_po_rejected_before_output(capsys):

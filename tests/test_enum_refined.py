@@ -13,9 +13,11 @@ from romandom import (Graph, enumerate_minimal_rdf_refined,
                       is_minimal_rdf)
 import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
-                                   RULE_V0, RULE_V2, SearchState,
-                                   apply_reductions, check_phase_properties,
-                                   pick_branch_vertex, undo)
+                                   RULE_V0, RULE_V2, RefinedEnumerator,
+                                   SearchState, apply_reductions,
+                                   check_phase_properties, pick_branch_vertex,
+                                   undo)
+from romandom.extension import gen_ext_rd, project_grdf
 from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, consistent_with,
                            measure, violated_invariants)
 from romandom.oracle import brute_minimal_rdfs
@@ -139,6 +141,77 @@ def _run(g, **kwargs):
     return out, stats
 
 
+def _checked_run(g):
+    """A refined run of g under the checks the search does not make itself.
+
+    Wraps three parts of the search:
+
+    - ``apply_reductions``: after each pass, in a child the search enters,
+      the invariants I1-I4 hold, the state equals the one rebuilt from its
+      labels, the measure is below the parent's, and the solver finds a
+      witness;
+    - ``RefinedEnumerator._private_near``: a set child it prunes has no
+      witness once a copy of it is reduced from every vertex;
+    - ``RefinedEnumerator._node``: it keeps the measure stack, checks the
+      phase properties of each priority the search moves past, and gates
+      tau = sum over the entered children of 1.9332^-(mu(node) - mu(child))
+      at <= 1 + 1e-9 at nodes of priority 1 and 2, the branchings the
+      O(1.9332^n) analysis bounds this way.
+
+    Returns the stream, the stats and the largest tau per priority.
+    """
+    reduce = enum_refined.apply_reductions
+    private_near = RefinedEnumerator._private_near
+    node = RefinedEnumerator._node
+    frames = []  # per open node: its measure, its entered children's
+    worst = {1: 0.0, 2: 0.0}
+
+    def checked_reduce(state, branch=None):
+        trace = reduce(state, branch)
+        bad = violated_invariants(g.adj, state.labels)
+        assert not bad, f"invariants {bad} violated after reductions"
+        fresh = SearchState(g, list(state.labels))
+        assert (state.masks, state.once, state.twice, state.c1) == (
+            fresh.masks, fresh.once, fresh.twice, fresh.c1), (
+            "search state out of step")
+        child = measure(state)
+        assert child < frames[-1][0], "measure did not fall"
+        frames[-1][1].append(child)
+        assert gen_ext_rd(project_grdf(g, state)) is not None, (
+            "an entered child has no extension")
+        return trace
+
+    def checked_private_near(self, b):
+        alive = private_near(self, b)
+        if not alive:
+            copy = SearchState(g, list(self.state.labels))
+            reduce(copy)
+            assert gen_ext_rd(project_grdf(g, copy)) is None, (
+                "a pruned child has an extension")
+        return alive
+
+    def checked_node(self, last_priority):
+        picked = pick_branch_vertex(self.state)
+        priority = picked[1] if picked else 0
+        for done in range(max(last_priority, 1), priority):
+            assert check_phase_properties(self.state, done), (
+                f"phase {done} properties violated")
+        frames.append((measure(self.state), []))
+        node(self, last_priority)
+        mu, children = frames.pop()
+        if priority in worst:
+            tau = sum(1.9332 ** (child - mu) for child in children)
+            assert tau <= 1 + 1e-9, f"tau {tau} at priority {priority}"
+            worst[priority] = max(worst[priority], tau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enum_refined, "apply_reductions", checked_reduce)
+        mp.setattr(RefinedEnumerator, "_private_near", checked_private_near)
+        mp.setattr(RefinedEnumerator, "_node", checked_node)
+        out, stats = _run(g)
+    return out, stats, worst
+
+
 def test_refined_c5(c5):
     out, stats = _run(c5)
     assert len(out) == 16 and stats.solutions == 16
@@ -160,7 +233,7 @@ def test_refined_order_zero_graph():
 
 def test_refined_matches_oracle_with_assertions(catalog5):
     for g in catalog5:
-        out, stats = _run(g, assert_invariants=True)
+        out, stats, _ = _checked_run(g)
         assert sorted(out) == brute_minimal_rdfs(g)
         assert len(set(out)) == len(out)
         assert all(is_minimal_rdf(g, f) for f in out)
@@ -171,7 +244,7 @@ def test_refined_random_graphs_with_assertions():
     rng = random.Random(9)
     for _ in range(15):
         g = gen_random(8, 0.3, rng.randrange(10**6))
-        out, stats = _run(g, assert_invariants=True)
+        out, stats, _ = _checked_run(g)
         assert sorted(out) == brute_minimal_rdfs(g)
         assert stats.max_gap <= 2 * g.n
 
@@ -477,12 +550,41 @@ def test_only_entered_children_are_reduced(monkeypatch, g):
 
 def test_rule_fires_same_with_assertions():
     for g in (gen_c5_copies(2), gen_random(10, 0.3, 3), gen_cycle(9)):
-        plain = enumerate_minimal_rdf_refined(g, lambda f: None)
-        checked = enumerate_minimal_rdf_refined(g, lambda f: None,
-                                                assert_invariants=True)
+        plain_out, plain = _run(g)
+        checked_out, checked, _ = _checked_run(g)
         assert plain.prunes > 0
+        assert checked_out == plain_out
         assert (checked.rule_fires, checked.prunes) == (plain.rule_fires,
                                                         plain.prunes)
+
+
+def test_tau_at_most_one_at_priorities_1_and_2(catalog6):
+    # the measure-and-conquer gate of _checked_run, on every connected
+    # graph of order <= 6 and on seeded G(n, p) with n = 8..14
+    rng = random.Random(61)
+    graphs = list(catalog6)
+    graphs += [gen_random(rng.randint(8, 14), rng.choice((0.15, 0.25, 0.4)),
+                          rng.randrange(10**6)) for _ in range(20)]
+    worst = {1: 0.0, 2: 0.0}
+    for g in graphs:
+        _, _, tau = _checked_run(g)
+        worst = {p: max(worst[p], tau[p]) for p in worst}
+    # the worst branchings: drops (1 + W1, 1 - W2) at priority 1, which
+    # the weights make tight, and (2, 1 - W2) at priority 2
+    assert worst[1] == pytest.approx(0.99999, abs=1e-5)
+    assert worst[2] == pytest.approx(0.9342, abs=1e-4)
+
+
+@pytest.mark.parametrize("verdict", [True, False], ids=["alive", "dead"])
+def test_checked_run_catches_a_wrong_privacy_test(monkeypatch, verdict):
+    # a privacy test that always answers the same passes a plain run, but
+    # the harness sees a dead child entered or a live one pruned
+    g = gen_c5_copies(2)
+    monkeypatch.setattr(RefinedEnumerator, "_private_near",
+                        lambda self, b: verdict)
+    _run(g)
+    with pytest.raises(AssertionError):
+        _checked_run(g)
 
 
 def test_v0_tested_only_where_it_has_a_target(monkeypatch):
@@ -513,7 +615,7 @@ def test_v0_tested_only_where_it_has_a_target(monkeypatch):
 def test_tree_ratio_on_large_order(monkeypatch):
     # 1.9332 ** n overflows a float from n = 1076; skip the search itself
     monkeypatch.setattr(enum_refined.RefinedEnumerator, "_node",
-                        lambda self, parent_measure, last_priority: None)
+                        lambda self, last_priority: None)
     stats = enum_refined.RefinedEnumerator(gen_null(1100),
                                            lambda f: None).run()
     assert stats.tree_ratio == 0.0

@@ -173,6 +173,8 @@ GENERATORS = {
     "c5pow": (gen_c5_copies, (int,)),
     "random": (gen_random, (int, float)),
 }
+# The families with one parameter, which ``bench`` sweeps.
+BENCH_FAMILIES = ("cycle", "star", "null", "c5pow")
 
 
 def _build(family: str, params: list, seed: int = 0) -> Graph:
@@ -202,6 +204,9 @@ def _bench_instances(spec: str) -> list[Graph]:
     except ValueError:
         raise UsageError("family spec must look like name:lo:hi, "
                          "e.g. c5pow:1:3") from None
+    if name not in BENCH_FAMILIES:
+        raise UsageError(f"bench family must be one of "
+                         f"{', '.join(BENCH_FAMILIES)}, got {name!r}")
     if not ks:
         raise UsageError(f"empty family range {lo}..{hi}")
     return [_build(name, [k]) for k in ks]
@@ -279,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="benchmark enumerators over a family")
-    p.add_argument("--family", required=True, help="name:lo:hi, e.g. c5pow:1:3")
+    p.add_argument("--family", required=True, help=f"name:lo:hi, name one of "
+                   f"{', '.join(BENCH_FAMILIES)}; e.g. c5pow:1:3")
     p.add_argument("--modes", required=True,
                    help="comma-separated: simple,refined,oracle")
     p.add_argument("--order", choices=["standard", "po"], default="standard")

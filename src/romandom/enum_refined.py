@@ -494,8 +494,7 @@ class RefinedEnumerator:
         """
         state = self.state
         nbr, c1 = state.nbr, state.c1
-        ball = _around(nbr, nbr[b]) | nbr[b] | 1 << b
-        twos = ball & state.masks[2]
+        twos = self.graph.ball2[b] & state.masks[2]
         while twos:
             low = twos & -twos
             if not nbr[low.bit_length() - 1] & c1:

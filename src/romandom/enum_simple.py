@@ -6,10 +6,13 @@ one, possibly themselves.  Both families are hereditary: a member's
 private neighbor stays private when S shrinks.  Both enumerators run one
 include/exclude walk over such 2-sets, kept as bit sets (:func:`_walk`),
 that enters a child only if its 2-set is in the family (Read and Tarjan's
-flashlight search).  So the exclude child is always entered, every frame
-lies on the path to some leaf, and every leaf is a solution: at most n
-inner frames pass between two outputs, the tree has at most n + 1 frames
-per solution, and the stack holds at most n + 1 frames.
+flashlight search).  So the exclude child is always entered: the walk
+descends each exclude chain to its leaf in place and stacks only include
+children, every frame lies on the path to some leaf, and every leaf is a
+solution.  At most n inner frames pass between two outputs, the tree has
+at most n + 1 frames per solution, and the stack holds at most n frames,
+one per depth.  Adding v to S changes the domination counts only on N[v],
+so only members within distance 2 of v can lose a private neighbor.
 """
 
 from __future__ import annotations
@@ -33,47 +36,51 @@ def _walk(g: Graph, sink: Sink, po: bool,
     the PO walk goes from 0 up and tests closed ones.  A frame is ``(depth,
     S, once, twice)``, with ``once``/``twice`` the vertices that have at
     least one/two members of S in their closed neighborhood: x keeps a
-    private neighbor iff ``nbr[x] & once & ~twice``.  Every frame counts as
-    a tree node and every inner frame as gap.  The counters go into
-    ``stats`` (a new :class:`EnumStats` by default) as the walk runs, and
-    ``max_gap`` and ``wall_ms`` are set even if the sink raises.
+    private neighbor iff ``nbr[x] & once & ~twice``.  A popped frame walks
+    its exclude chain to the leaf, pushing the include children it meets,
+    each tested at its v and at the members in ``g.ball2[v]``.  The chain
+    from depth d counts n - d + 1 tree nodes and n - d inner frames of gap,
+    and ``stats`` (a new :class:`EnumStats` by default) is exact whenever
+    the sink runs or raises.
     """
     start = time.perf_counter()
     stats = EnumStats() if stats is None else stats
     n = g.n
     order = range(n) if po else range(n - 1, -1, -1)
-    nbr = g.nbr
     bits = [1 << x for x in range(n)]
-    near = [m | b for m, b in zip(nbr, bits)]
-    test = near if po else nbr
+    near = [m | b for m, b in zip(g.nbr, bits)]
+    test = near if po else g.nbr
+    # The decision at each depth: (child depth, bit, test, N[v], N[N[v]]).
+    steps = [(d + 1, bits[v], test[v], near[v], g.ball2[v])
+             for d, v in enumerate(order)]
     gap = 0
     stack = [(0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
     try:
         while stack:
             depth, s, once, twice = pop()
-            stats.tree_nodes += 1
-            if depth == n:
-                sink(tuple([2 if s & b else 0 if once & b else 1
-                            for b in bits]))
-                stats.solutions += 1
-                stats.max_gap = max(stats.max_gap, gap)
-                gap = 0
-                continue
-            gap += 1
-            v = order[depth]
-            s2, once2 = s | bits[v], once | near[v]
-            twice2 = twice | once & near[v]
-            private = once2 & ~twice2
-            members = s2
-            while members:
-                low = members & -members
-                if not test[low.bit_length() - 1] & private:
-                    break
-                members ^= low
-            if not members:
-                push((depth + 1, s2, once2, twice2))
-            push((depth + 1, s, once, twice))
+            for child, b, own, around, ball in steps[depth:]:
+                # After adding v, its private neighbors are the tested ones
+                # outside once.
+                if not own & ~once:
+                    continue
+                once2 = once | around
+                twice2 = twice | once & around
+                private = once2 & ~twice2
+                members = s & ball
+                while members:
+                    low = members & -members
+                    if not test[low.bit_length() - 1] & private:
+                        break
+                    members ^= low
+                else:
+                    push((child, s | b, once2, twice2))
+            stats.tree_nodes += n - depth + 1
+            gap = n - depth
+            sink(tuple([2 if s & b else 0 if once & b else 1
+                        for b in bits]))
+            stats.solutions += 1
+            stats.max_gap = max(stats.max_gap, gap)
     finally:
         stats.max_gap = max(stats.max_gap, gap)
         stats.wall_ms = int((time.perf_counter() - start) * 1000)

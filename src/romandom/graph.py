@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -30,7 +31,8 @@ class Graph:
     Invariants: adjacency is symmetric and irreflexive, all neighbor ids
     lie in ``[0, n)``.  Use :meth:`from_edges` rather than building the
     adjacency tuple by hand.  :attr:`nbr` holds the same neighborhoods as
-    bit sets; it is built on first access and not compared or hashed.
+    bit sets and :attr:`ball2` the balls of radius 2; both are built on
+    first access and not compared or hashed.
     """
 
     n: int
@@ -41,6 +43,14 @@ class Graph:
         """The open neighborhood of every vertex as a bit set (bit u =
         vertex u), for the searches and the oracle."""
         return tuple(sum(1 << u for u in near) for near in self.adj)
+
+    @cached_property
+    def ball2(self) -> tuple[int, ...]:
+        """N[N[v]], the vertices within distance 2 of every vertex, as bit
+        sets: one OR of a closed neighborhood per edge end."""
+        closed = [m | 1 << v for v, m in enumerate(self.nbr)]
+        return tuple(reduce(or_, [closed[u] for u in near], closed[v])
+                     for v, near in enumerate(self.adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

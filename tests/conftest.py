@@ -28,6 +28,11 @@ def connected_catalog(max_n: int) -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
+def catalog7() -> list[Graph]:
+    return connected_catalog(7)
+
+
+@pytest.fixture(scope="session")
 def catalog6() -> list[Graph]:
     return connected_catalog(6)
 

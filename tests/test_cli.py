@@ -309,6 +309,18 @@ def test_bench_bad_family(capsys):
     assert out == "" and "empty family range 3..1" in err
 
 
+def test_bench_takes_one_parameter_families_only(capsys):
+    # random takes n and p, which name:lo:hi cannot give
+    families = "cycle, star, null, c5pow"
+    capsys.readouterr()
+    assert main(["bench", "--family", "random:8:9", "--modes", "simple"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and families in err and "'random'" in err
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    assert families in " ".join(capsys.readouterr().out.split())
+
+
 def test_bench_oracle_above_cap_rejected_before_output(capsys):
     # c5pow:1:3 reaches n = 15; no row may go out before the refusal
     assert main(["bench", "--family", "c5pow:1:3",

@@ -101,6 +101,62 @@ def _assert_same_as_reference(g):
         _assert_walk_bounds(g, stats)
 
 
+def _frame_walk(g, sink, po, stats=None):
+    # The walk before chain descent: one pushed frame per child, exclude
+    # child last, and every member of S | {v} tested at every include.
+    stats = EnumStats() if stats is None else stats
+    n = g.n
+    order = range(n) if po else range(n - 1, -1, -1)
+    nbr = g.nbr
+    bits = [1 << x for x in range(n)]
+    near = [m | b for m, b in zip(nbr, bits)]
+    test = near if po else nbr
+    gap = 0
+    stack = [(0, 0, 0, 0)]
+    try:
+        while stack:
+            depth, s, once, twice = stack.pop()
+            stats.tree_nodes += 1
+            if depth == n:
+                sink(tuple([2 if s & b else 0 if once & b else 1
+                            for b in bits]))
+                stats.solutions += 1
+                stats.max_gap = max(stats.max_gap, gap)
+                gap = 0
+                continue
+            gap += 1
+            v = order[depth]
+            s2, once2 = s | bits[v], once | near[v]
+            twice2 = twice | once & near[v]
+            private = once2 & ~twice2
+            members = s2
+            while members:
+                low = members & -members
+                if not test[low.bit_length() - 1] & private:
+                    break
+                members ^= low
+            if not members:
+                stack.append((depth + 1, s2, once2, twice2))
+            stack.append((depth + 1, s, once, twice))
+    finally:
+        stats.max_gap = max(stats.max_gap, gap)
+    return stats
+
+
+_WALKS = ((enumerate_minimal_rdf_simple, False),
+          (enumerate_po_minimal_simple, True))
+
+
+def _assert_same_as_frame_walk(g):
+    for enumerator, po in _WALKS:
+        out, stats = _collect(enumerator, g)
+        ref_out = []
+        ref = _frame_walk(g, ref_out.append, po)
+        assert out == ref_out
+        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
+            ref.solutions, ref.tree_nodes, ref.max_gap)
+
+
 def test_simple_c5_count(c5):
     out, stats = _collect(enumerate_minimal_rdf_simple, c5)
     assert len(out) == 16 and stats.solutions == 16
@@ -182,6 +238,70 @@ def test_walks_match_references_on_random_graphs():
                               "cycle14"])
 def test_walks_match_references_on_families(g):
     _assert_same_as_reference(g)
+
+
+def test_walks_match_frame_walk_on_catalog7(catalog7):
+    # 996 graphs, 853 of them of order 7
+    for g in catalog7:
+        _assert_same_as_frame_walk(g)
+
+
+def test_walks_match_frame_walk_on_random_graphs():
+    rng = random.Random(29)
+    for n in range(1, 21):
+        for p in (0.15, 0.3, 0.5):
+            _assert_same_as_frame_walk(gen_random(n, p, rng.randrange(10**6)))
+
+
+@pytest.mark.parametrize("g", [gen_star(1), gen_star(12), gen_null(0),
+                               gen_null(1), gen_null(15)],
+                         ids=["star1", "star12", "null0", "null1", "null15"])
+def test_walks_match_frame_walk_on_families(g):
+    _assert_same_as_frame_walk(g)
+
+
+def _stats_seen_by_sink(walk, g, stop_at=None):
+    # (solutions, tree_nodes, max_gap) as the sink reads them at each call;
+    # with stop_at, the sink raises at that call instead
+    stats = EnumStats()
+    seen = []
+
+    def sink(f):
+        seen.append((stats.solutions, stats.tree_nodes, stats.max_gap))
+        if len(seen) == stop_at:
+            raise _Enough
+
+    if stop_at is None:
+        walk(sink, stats)
+    else:
+        with pytest.raises(_Enough):
+            walk(sink, stats)
+    return seen, stats
+
+
+@pytest.mark.parametrize("g", [gen_cycle(9), gen_random(12, 0.3, 4),
+                               gen_star(6)], ids=["cycle9", "g12", "star6"])
+def test_walk_counters_are_live_and_exact(g):
+    for enumerator, po in _WALKS:
+        seen, _ = _stats_seen_by_sink(
+            lambda sink, st: enumerator(g, sink, stats=st), g)
+        ref, _ = _stats_seen_by_sink(
+            lambda sink, st: _frame_walk(g, sink, po, st), g)
+        assert [s[0] for s in seen] == list(range(len(seen)))
+        assert seen == ref
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 17])
+def test_walk_counters_after_a_raising_sink(k):
+    g = gen_cycle(9)
+    for enumerator, po in _WALKS:
+        _, stats = _stats_seen_by_sink(
+            lambda sink, st: enumerator(g, sink, stats=st), g, k)
+        _, ref = _stats_seen_by_sink(
+            lambda sink, st: _frame_walk(g, sink, po, st), g, k)
+        assert stats.solutions == k - 1
+        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
+            ref.solutions, ref.tree_nodes, ref.max_gap)
 
 
 @pytest.mark.parametrize("g, sweep, po", [

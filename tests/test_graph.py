@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,44 @@ def test_nbr_leaves_equality_and_hash():
     g.nbr
     assert g == h and hash(g) == hash(h) == before
     assert g != gen_star(8) and "nbr" not in repr(g)
+
+
+def _balls_by_bfs(g):
+    # the vertices at distance at most 2, by two rounds of BFS over adj
+    balls = []
+    for v in range(g.n):
+        ball = {v} | g.adj[v]
+        for u in g.adj[v]:
+            ball |= g.adj[u]
+        balls.append(ball)
+    return balls
+
+
+def _as_sets(bits_list, n):
+    return [{u for u in range(n) if bits >> u & 1} for bits in bits_list]
+
+
+def test_ball2_matches_bfs(catalog6):
+    rng = random.Random(11)
+    graphs = [gen_random(n, p, rng.randrange(10**6))
+              for n in (8, 20, 70) for p in (0.05, 0.2, 0.5)]
+    assert not any("ball2" in vars(g) for g in graphs)  # built on access
+    for g in catalog6 + graphs:
+        assert _as_sets(g.ball2, g.n) == _balls_by_bfs(g)
+
+
+def test_ball2_of_isolated_vertices_and_empty_graph():
+    assert gen_null(0).ball2 == ()
+    g = gen_disjoint_union([gen_null(1), gen_star(2)])
+    assert g.ball2 == (0b0001, 0b1110, 0b1110, 0b1110)
+
+
+def test_ball2_leaves_equality_and_hash():
+    g, h = gen_cycle(9), gen_cycle(9)
+    before = hash(g)
+    g.ball2
+    assert g == h and hash(g) == hash(h) == before
+    assert "ball2" not in repr(g)
 
 
 def test_parse_p2():

@@ -12,13 +12,12 @@ from .enum_simple import (enumerate_minimal_rdf_simple,
                           enumerate_po_minimal_simple)
 from .extension import (ExtensionInstance, ext_po_rd, ext_rd, gen_ext_po_rd,
                         gen_ext_rd, project_grdf)
-from .graph import (Graph, closed_neighborhood, gen_c5_copies, gen_cycle,
-                    gen_disjoint_union, gen_null, gen_random, gen_star,
-                    parse_edge_list, to_edge_list)
-from .oracle import brute_ext, brute_minimal_rdfs
+from .graph import (Graph, gen_c5_copies, gen_cycle, gen_disjoint_union,
+                    gen_null, gen_random, gen_star, parse_edge_list,
+                    to_edge_list)
+from .oracle import brute_minimal_rdfs
 from .rdf import (Assignment, format_assignment, is_minimal_rdf,
-                  is_po_minimal_rdf, is_rdf, leq_po, leq_standard,
-                  parse_assignment, private_neighbors, weight)
+                  is_po_minimal_rdf, is_rdf, parse_assignment)
 from .stats import EnumStats
 
 __all__ = [
@@ -26,9 +25,7 @@ __all__ = [
     "EnumStats",
     "ExtensionInstance",
     "Graph",
-    "brute_ext",
     "brute_minimal_rdfs",
-    "closed_neighborhood",
     "enumerate_minimal_rdf_refined",
     "enumerate_minimal_rdf_simple",
     "enumerate_po_minimal_simple",
@@ -46,12 +43,8 @@ __all__ = [
     "is_minimal_rdf",
     "is_po_minimal_rdf",
     "is_rdf",
-    "leq_po",
-    "leq_standard",
     "parse_assignment",
     "parse_edge_list",
-    "private_neighbors",
     "project_grdf",
     "to_edge_list",
-    "weight",
 ]

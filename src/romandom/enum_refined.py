@@ -35,8 +35,9 @@ the subset walk in :mod:`.enum_simple`, and only 2-vertices near a new 2
 can lose a private neighbor.  No rule changes what the test reads, so a
 set child is tested before its pass, and a dead one is never reduced.
 :func:`extension.gen_ext_rd` stays the reference: the search asserts
-nothing, and the tests check it against the solver and against the
-invariants and the measure of :mod:`.grdf` by wrapping it from outside.
+nothing.  The tests wrap it from outside and check it against the solver,
+the measure of :mod:`.grdf`, and the state invariants and phase
+properties, whose checks are test references in ``tests/support.py``.
 The search has one state, ``SearchState(g, labels)``, the only store of
 labels: the labels with their class bit sets and ``once``/``twice``, kept
 in place and undone on backtracking (as in Knuth's "Dancing Links"), over
@@ -380,29 +381,6 @@ def pick_branch_vertex(state: SearchState) -> tuple[int, int] | None:
     return ((not_one & -not_one).bit_length() - 1, 3) if not_one else None
 
 
-def check_phase_properties(state: SearchState, phase: int) -> bool:
-    """State conditions that must hold once branching priority 1 or 2 is
-    exhausted (the tests check them where the search moves to a higher one).
-    """
-    masks, nbr = state.masks, state.nbr
-    active = masks[ACTIVE]
-    if phase == 1:
-        # An active vertex with an active neighbor and degree at least 2
-        # has one active neighbor, and its others are 0 or not-1.
-        return not any(
-            near & active and near & (near - 1) and (
-                near & ~(active | masks[NOT_ONE] | masks[0])
-                or (near & active).bit_count() > 1)
-            for v, near in enumerate(nbr) if active >> v & 1)
-    if phase == 2:
-        # A not-2 vertex's neighbors that can still be 2 are non-empty and
-        # all not-1.
-        return not active and all(
-            near & masks[NOT_ONE] and not near & masks[2]
-            for v, near in enumerate(nbr) if masks[NOT_TWO] >> v & 1)
-    raise ValueError(f"unknown phase {phase}")
-
-
 class RefinedEnumerator:
     """One enumeration run; create, then call :meth:`run` once.
 
@@ -412,7 +390,8 @@ class RefinedEnumerator:
     (invariants, rebuilt state, falling measure, a solver witness), every
     pruned child (no witness after a full pass on a copy) and the phase
     properties by wrapping :func:`apply_reductions`, :meth:`_private_near`
-    and :meth:`_node`.
+    and :meth:`_node`; the invariant and phase checks they call live in
+    ``tests/support.py``.
     """
 
     def __init__(self, g: Graph, sink: Sink, *,

@@ -76,9 +76,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def validate(self) -> None:
         """Check symmetry, irreflexivity and id bounds; raise on violation."""
         if len(self.adj) != self.n:
@@ -91,15 +88,6 @@ class Graph:
                     raise ValueError(f"self-loop at {u}")
                 if u not in self.adj[v]:
                     raise ValueError(f"asymmetric edge ({u},{v})")
-
-
-def closed_neighborhood(g: Graph, s: Iterable[int]) -> set[int]:
-    """N[S]: the union of closed neighborhoods of the vertices in ``s``."""
-    out: set[int] = set()
-    for u in s:
-        out.add(u)
-        out |= g.adj[u]
-    return out
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -1,18 +1,20 @@
 """Definition-based brute force over all 3^n assignments.
 
-This module is the ground truth for small instances.  It deliberately
-uses nothing but the bare definitions: an assignment is kept iff it is
-an rdf and no other rdf lies below it in the chosen order.  It never
-calls the characterization-based checkers it is used to validate.
+This module is the ground truth for small instances, behind the CLI's
+oracle mode.  It deliberately uses nothing but the bare definitions: an
+assignment is kept iff it is an rdf and no other rdf lies below it in
+the chosen order.  It never calls the characterization-based checkers it
+is used to validate.  The brute-force extension answer built on it, with
+the two orders as pointwise comparisons, is a test reference in
+``tests/support.py``.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
 
 from .graph import Graph
-from .rdf import Assignment, leq_po, leq_standard
+from .rdf import Assignment
 
 DEFAULT_CAP = 12
 
@@ -78,19 +80,3 @@ def brute_minimal_rdfs(g: Graph, order: str = "standard",
     return [f for f, ones, twos in rdfs
             if not any(m in masks for m in _covered(f, ones, twos, standard))]
 
-
-def brute_ext(g: Graph, f: Assignment, forbidden: Iterable[int] = (),
-              order: str = "standard", cap: int = DEFAULT_CAP,
-              minimal: Sequence[Assignment] | None = None) -> bool:
-    """Is there a minimal rdf above ``f`` whose 2-set avoids ``forbidden``?
-
-    "Above" means f <= g in the chosen order.  ``minimal`` may pass a
-    precomputed result of :func:`brute_minimal_rdfs` for the same graph
-    and order.
-    """
-    if minimal is None:
-        minimal = brute_minimal_rdfs(g, order=order, cap=cap)
-    forb = set(forbidden)
-    leq = leq_standard if order == "standard" else leq_po
-    return any(leq(f, cand) and not any(cand[v] == 2 for v in forb)
-               for cand in minimal)

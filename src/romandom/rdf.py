@@ -1,4 +1,4 @@
-"""Roman dominating functions: assignments, weights, and minimality checks.
+"""Roman dominating functions: assignments, the rdf and minimality checks.
 
 An assignment is a total function V -> {0,1,2}, stored as a tuple indexed
 by vertex id.  Its text form is a digit string, index i = vertex i.
@@ -34,11 +34,6 @@ def parse_assignment(text: str, n: int) -> Assignment:
 
 def format_assignment(f: Assignment) -> str:
     return bytes(f).translate(_DIGITS).decode()
-
-
-def weight(f: Assignment) -> int:
-    """|V1| + 2|V2|."""
-    return sum(f)
 
 
 def two_set(g: Graph, f: Assignment) -> list[int]:
@@ -106,15 +101,6 @@ def two_counts(adj: tuple[frozenset[int], ...],
     return c
 
 
-def private_neighbors(g: Graph, d: Iterable[int], v: int) -> set[int]:
-    """N[v] minus N[D \\ {v}]: vertices dominated only by v within d."""
-    dset = set(d)
-    if v not in dset:
-        raise ValueError(f"vertex {v} is not a member of the dominating set")
-    c = two_counts(g.adj, dset)
-    return {u for u in g.adj[v] | {v} if c[u] == 1}
-
-
 def minimality_report(g: Graph, f: Assignment,
                       order: str = "standard") -> list[str]:
     """Failing conditions of the minimal-rdf characterization (empty = minimal).
@@ -145,17 +131,3 @@ def is_minimal_rdf(g: Graph, f: Assignment) -> bool:
 
 def is_po_minimal_rdf(g: Graph, f: Assignment) -> bool:
     return not minimality_report(g, f, order="po")
-
-
-def leq_standard(f: Assignment, h: Assignment) -> bool:
-    """Pointwise f <= h under 0 < 1 < 2."""
-    if len(f) != len(h):
-        raise ValueError("assignments have different lengths")
-    return all(a <= b for a, b in zip(f, h))
-
-
-def leq_po(f: Assignment, h: Assignment) -> bool:
-    """Pointwise f <= h under 0 < 1, 0 < 2 with 1 and 2 incomparable."""
-    if len(f) != len(h):
-        raise ValueError("assignments have different lengths")
-    return all(a == b or a == 0 for a, b in zip(f, h))

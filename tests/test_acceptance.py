@@ -16,9 +16,10 @@ from romandom import (ExtensionInstance, Graph,
                       enumerate_po_minimal_simple, ext_po_rd, ext_rd,
                       gen_c5_copies, gen_cycle, gen_ext_po_rd, gen_ext_rd,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
-                      is_po_minimal_rdf, leq_po, leq_standard)
-from romandom.oracle import brute_ext, brute_minimal_rdfs
+                      is_po_minimal_rdf)
+from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import two_set
+from support import brute_ext, leq_po, leq_standard
 
 # (label, n, max_gap) rows recorded by the enumeration runs in criteria
 # 1-3, asserted in criterion 5.

@@ -15,13 +15,13 @@ import romandom.enum_refined as enum_refined
 from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
                                    RULE_V0, RULE_V2, RefinedEnumerator,
                                    SearchState, apply_reductions,
-                                   check_phase_properties, pick_branch_vertex,
-                                   undo)
+                                   pick_branch_vertex, undo)
 from romandom.extension import gen_ext_rd, project_grdf
-from romandom.grdf import (ACTIVE, NOT_ONE, NOT_TWO, consistent_with,
-                           measure, violated_invariants)
+from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, measure
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import two_counts
+from support import (check_phase_properties, consistent_with,
+                     violated_invariants)
 
 
 def _adj(g: Graph) -> list[set[int]]:
@@ -558,16 +558,23 @@ def test_rule_fires_same_with_assertions():
                                                         plain.prunes)
 
 
-def test_tau_at_most_one_at_priorities_1_and_2(catalog6):
+def test_tau_at_most_one_at_priorities_1_and_2(catalog7):
     # the measure-and-conquer gate of _checked_run, on every connected
-    # graph of order <= 6 and on seeded G(n, p) with n = 8..14
+    # graph of order <= 7 and on seeded G(n, p) with n = 8..14; each run
+    # under the harness also gives the walk's solutions, each once, with
+    # max_gap <= 2n
     rng = random.Random(61)
-    graphs = list(catalog6)
+    graphs = list(catalog7)
     graphs += [gen_random(rng.randint(8, 14), rng.choice((0.15, 0.25, 0.4)),
                           rng.randrange(10**6)) for _ in range(20)]
     worst = {1: 0.0, 2: 0.0}
     for g in graphs:
-        _, _, tau = _checked_run(g)
+        out, stats, tau = _checked_run(g)
+        walk = []
+        enumerate_minimal_rdf_simple(g, walk.append)
+        assert sorted(out) == sorted(walk)
+        assert len(set(out)) == len(out)
+        assert stats.max_gap <= 2 * g.n
         worst = {p: max(worst[p], tau[p]) for p in worst}
     # the worst branchings: drops (1 + W1, 1 - W2) at priority 1, which
     # the weights make tight, and (2, 1 - W2) at priority 2

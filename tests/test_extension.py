@@ -6,13 +6,14 @@ import pytest
 from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
                       gen_cycle, gen_ext_po_rd, gen_ext_rd, gen_null,
                       gen_random, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
-                      leq_po, leq_standard, project_grdf)
+                      project_grdf)
 from romandom.enum_refined import SearchState
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
-from romandom.oracle import brute_ext, brute_minimal_rdfs
+from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
                           COND_PRIVACY, minimality_report, two_counts,
                           two_set)
+from support import brute_ext, leq_po, leq_standard
 
 
 def test_ext_rd_star_all_zeros(k13):

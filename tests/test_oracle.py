@@ -1,8 +1,9 @@
 import pytest
 
-from romandom import brute_ext, brute_minimal_rdfs, gen_null, gen_star
+from romandom import brute_minimal_rdfs, gen_null, gen_star
 from romandom.oracle import OracleCapExceeded
 from romandom.rdf import format_assignment
+from support import brute_ext
 
 
 def _strings(g, order="standard"):

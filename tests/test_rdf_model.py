@@ -5,27 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romandom import (closed_neighborhood, gen_cycle, gen_null, gen_random,
-                      gen_star, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
-                      leq_po, leq_standard, private_neighbors, weight)
+from romandom import (gen_cycle, gen_null, gen_random, gen_star,
+                      is_minimal_rdf, is_po_minimal_rdf, is_rdf)
 from romandom.graph import Graph
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
                           COND_PRIVACY, format_assignment,
                           minimality_report, parse_assignment, two_set)
-
-
-def test_weight_star_center_two():
-    f = (2, 0, 0, 0, 0)
-    assert weight(f) == 2
-
-
-def test_weight_all_ones():
-    assert weight((1,) * 6) == 6
-
-
-def test_weight_all_zeros():
-    assert weight((0, 0, 0)) == 0
+from support import leq_po, leq_standard
 
 
 def test_is_rdf_p2(p2):
@@ -35,20 +22,6 @@ def test_is_rdf_p2(p2):
 
 def test_is_rdf_c5(c5):
     assert is_rdf(c5, (2, 0, 1, 1, 0))
-
-
-def test_private_neighbors_p2(p2):
-    assert private_neighbors(p2, {0}, 0) == {0, 1}
-    assert private_neighbors(p2, {0, 1}, 0) == set()
-
-
-def test_private_neighbors_c5(c5):
-    assert private_neighbors(c5, {0, 2}, 0) == {4, 0}
-
-
-def test_private_neighbors_requires_membership(p2):
-    with pytest.raises(ValueError):
-        private_neighbors(p2, {1}, 0)
 
 
 def test_minimal_examples(p2, c5):
@@ -156,11 +129,6 @@ def _agreement(g: Graph):
     for f in itertools.product((0, 1, 2), repeat=g.n):
         assert is_minimal_rdf(g, f) == (f in std), f
         assert is_po_minimal_rdf(g, f) == (f in po), f
-        d = frozenset(two_set(g, f))
-        for v in d:
-            assert private_neighbors(g, d, v) == (
-                closed_neighborhood(g, {v}) - closed_neighborhood(g, d - {v})
-            ), (f, v)
     for f in std | po:
         assert is_rdf(g, f)
     for f in std:

@@ -32,7 +32,7 @@ from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                parse_edge_list, to_edge_list)
 from .extension import ExtensionInstance
 from .graph import Graph, GraphFormatError
-from .oracle import DEFAULT_CAP, OracleCapExceeded
+from .oracle import CAP, OracleCapExceeded
 from .rdf import minimality_report
 from .stats import EnumStats
 
@@ -220,10 +220,10 @@ def _cmd_bench(args) -> int:
         _check_mode(mode, args.order)
     graphs = _bench_instances(args.family)
     n = max(g.n for g in graphs)
-    if "oracle" in modes and n > DEFAULT_CAP:
+    if "oracle" in modes and n > CAP:
         # Before any row, as the oracle would refuse only at its own row.
         raise UsageError(f"oracle mode refused: n={n} exceeds "
-                         f"cap={DEFAULT_CAP}")
+                         f"cap={CAP}")
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
                      "wall_ms"])

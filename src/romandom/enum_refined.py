@@ -27,8 +27,10 @@ new of w enables, by the label of each neighbor x,
     ===============  ============================================
 
 and at w itself V0 (a new 0 with one 2-neighbor and a target, an active
-or not-1 neighbor) or NPD (a new not-2).  V0, V1 and V2 never need a
-neighbor's pend, as :func:`apply_reductions` explains.  The extension
+or not-1 neighbor) or NPD (a new not-2).  V0 and V2 never need a
+neighbor's pend, as :func:`apply_reductions` explains.  Of the paper's
+rules, Edges and V1 are left out: they never change a decision of the
+search (see the notes after the rules).  The extension
 test is local too: the search keeps the bit sets ``once``/``twice`` of
 the vertices dominated by at least one/two 2-vertices, the primitive of
 the subset walk in :mod:`.enum_simple`, and only 2-vertices near a new 2
@@ -62,7 +64,6 @@ Sink = Callable[[Assignment], None]
 
 RULE_LPN = "LPN"
 RULE_V0 = "V0"
-RULE_V1 = "V1"
 RULE_V2 = "V2"
 RULE_NPD = "NPD"
 RULE_NPN = "NPN"
@@ -93,7 +94,8 @@ class SearchState:
 
     ``labels[v]`` is the label of v (see :mod:`.grdf`) and ``masks[x]`` the
     vertices labeled x as a bit set; :meth:`relabel` keeps both.  ``nbr``
-    is the graph's :attr:`~.graph.Graph.nbr`, shared, not copied.  ``once``
+    and ``ball2`` are the graph's :attr:`~.graph.Graph.nbr` and
+    :attr:`~.graph.Graph.ball2`, shared, not copied.  ``once``
     and ``twice`` are the vertices with at least one and at least two
     2-vertices in their closed neighborhood, and ``c1 = once & ~twice``
     those with exactly one, its private neighbors.  No rule creates a 2,
@@ -103,7 +105,7 @@ class SearchState:
 
     def __init__(self, g: Graph, labels: list[int]):
         self.labels = labels
-        self.nbr = g.nbr
+        self.nbr, self.ball2 = g.nbr, g.ball2
         self.masks = [0] * (ACTIVE + 1)
         self.once = self.twice = self.c1 = 0
         for v, x in enumerate(labels):
@@ -137,9 +139,8 @@ def _around(nbr: tuple[int, ...], vertices: int) -> int:
 
 # The rules in the order they are tried.  Each applies only at a vertex
 # with one particular label (LPN and V2 at 2-vertices).
-_RULES = (RULE_LPN, RULE_V0, RULE_V1, RULE_V2, RULE_NPD, RULE_NPN,
-          RULE_ISOLATE)
-_LPN, _V0, _V1, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
+_RULES = (RULE_LPN, RULE_V0, RULE_V2, RULE_NPD, RULE_NPN, RULE_ISOLATE)
+_LPN, _V0, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
 
 
 def _enabled_around(old: int, new: int, idle: bool) -> tuple:
@@ -194,12 +195,6 @@ def _v0(labels, masks, nbr, c1, v):
                        NOT_TWO)
 
 
-def _v1(labels, masks, nbr, c1, v):
-    # Neighbors of a 1-vertex can never be 2.
-    return _lower_each(nbr[v] & (masks[ACTIVE] | masks[NOT_ONE]),
-                       masks[ACTIVE], NOT_TWO) if labels[v] == 1 else ()
-
-
 def _v2(labels, masks, nbr, c1, v):
     # Neighbors of a 2-vertex can never be 1.
     return _lower_each(nbr[v] & (masks[ACTIVE] | masks[NOT_TWO]),
@@ -243,13 +238,17 @@ def _isolate(labels, masks, nbr, c1, v):
     return ()
 
 
-_TESTS = (_lpn, _v0, _v1, _v2, _npd, _npn, _isolate)
+_TESTS = (_lpn, _v0, _v2, _npd, _npn, _isolate)
 
 # The paper's Edges rule (delete every edge between two vertices that can
 # never be 2) is omitted, so the working graph is the input graph: every
 # reader of a never-2 vertex's neighborhood filters it by label, and its
 # never-2 neighbors fail every such filter alike, so deleting those edges
-# would never change a decision.
+# would never change a decision.  Its V1 rule (the neighbors of a 1 can
+# never be 2) is omitted too: a 1 comes only from NPD, whose neighbors
+# are all in {not-2, 0, 1}, labels only fall, and the all-active root has
+# no 1, so no reached state has a 1 next to an active or not-1 vertex
+# (invariant I3).
 
 
 def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
@@ -269,12 +268,12 @@ def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
 
 
 def apply_reductions(state: SearchState,
-                     branch: tuple[int, int, int] | None = None
+                     branch: tuple[int, int] | None = None
                      ) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the state).
 
-    Each step applies the first rule, in the order LPN, V0, V1, V2, NPD,
-    NPN, Isolate, at the lowest vertex where it applies; any other order
+    Each step applies the first rule, in the order LPN, V0, V2, NPD, NPN,
+    Isolate, at the lowest vertex where it applies; any other order
     would change the search tree (see the module docs).  A worklist
     replays this order without rescanning: the pending (rule, vertex)
     pairs, a superset of those where the rule applies, form one bit set
@@ -283,26 +282,24 @@ def apply_reductions(state: SearchState,
     the transition can newly satisfy, as in the module table; when the
     last active vertex goes, Isolate is pended at every not-1 vertex.
 
-    V0, V1 and V2 need no neighbor pend.  Their targets, the neighbors
-    that may still be 2 (V0, V1) or 1 (V2), only shrink: a vertex enters
-    {active, not-1} or {active, not-2} only from active.  A 1 comes only
-    from NPD, whose neighbors are all in {not-2, 0, 1}, so a new 1 has
-    no V1 targets, and V0 is pended only at a 0-vertex with a target.
+    V0 and V2 need no neighbor pend.  Their targets, the neighbors that
+    may still be 2 (V0) or 1 (V2), only shrink: a vertex enters
+    {active, not-1} or {active, not-2} only from active, and V0 is
+    pended only at a 0-vertex with a target.
     V0's side condition at v, with u the 2-neighbor of v, needs each
     blocker x in N(u) (a 0, not-1 or not-2 vertex) to be in ``twice``;
     the 2-set is fixed here, and a rule could move a blocker out of its
     class only as not-2 -> 1, which NPD cannot do next to the 2-vertex u.
 
     No rule creates a 2, so ``once`` and ``twice`` stay fixed here.
-    With ``branch = (b, old, c1)`` the state must be a fixpoint except
-    at b, just relabelled from ``old`` by a branch, and ``c1`` is the
-    parent's (a set branch has already called :meth:`SearchState.add_two`
-    on b).  The branch pends as a relabel does; a set branch also pends
-    LPN and V2 at b, and V0 (with a target) wherever a blocker went
-    away: next to the 2-neighbors of each blocker in N(b) that ``c1``
-    held, now dominated twice, and next to the 2-neighbors of b if b was
-    a not-1 blocker.  Otherwise every vertex is pended.  Returns the
-    trace needed to undo the relabelings.
+    With ``branch = (b, old)`` the state must be a fixpoint except at b,
+    just relabelled from ``old`` by a branch (a set branch has already
+    called :meth:`SearchState.add_two` on b).  The branch pends as a
+    relabel does; a set branch also pends LPN and V2 at b, and V0 (with
+    a target) next to each 2-vertex u within distance 2 of b: b's 2
+    takes a V0 blocker away only in N[b], and a blocker lies in N(u).
+    Otherwise every vertex is pended.  Returns the trace needed to undo
+    the relabelings.
     """
     labels, masks, nbr, c1 = state.labels, state.masks, state.nbr, state.c1
     n = len(labels)
@@ -311,20 +308,14 @@ def apply_reductions(state: SearchState,
     # Bit rule * n + v of ``pending`` stands for the pair (rule, v).
     if branch is None:
         pending = sum(mask << rule * n for rule, mask in enumerate((
-            masks[2], masks[0] & c1, masks[1], masks[2], masks[NOT_TWO],
+            masks[2], masks[0] & c1, masks[2], masks[NOT_TWO],
             masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
-        b, old, c1_before = branch
+        b, old = branch
         pending = _pend_moved(0, masks, nbr, c1, n, b, old, labels[b])
         if labels[b] == 2:
             pending |= 1 << _LPN * n + b | 1 << _V2 * n + b
-            # A blocker of V0 went away where b's 2 made a private
-            # neighbor dominated twice, and at b if it was not-1.
-            blockers = masks[0] | masks[NOT_ONE] | masks[NOT_TWO]
-            freed = _around(nbr, nbr[b] & c1_before & blockers)
-            if old == NOT_ONE:
-                freed |= nbr[b]
-            cand = _around(nbr, freed & masks[2]) & masks[0] & c1
+            cand = _around(nbr, state.ball2[b] & masks[2]) & masks[0] & c1
             targets = masks[ACTIVE] | masks[NOT_ONE]
             while cand:
                 low = cand & -cand
@@ -444,7 +435,7 @@ class RefinedEnumerator:
         once, twice, c1 = state.once, state.twice, state.c1
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
-        seed = (v, old, c1) if last_priority else None
+        seed = (v, old) if last_priority else None
         # v is active or not-1: set it to 2, then deny it the 2.
         for new in (2, NOT_TWO if old == ACTIVE else 0):
             state.relabel(v, new)
@@ -473,7 +464,7 @@ class RefinedEnumerator:
         """
         state = self.state
         nbr, c1 = state.nbr, state.c1
-        twos = self.graph.ball2[b] & state.masks[2]
+        twos = state.ball2[b] & state.masks[2]
         while twos:
             low = twos & -twos
             if not nbr[low.bit_length() - 1] & c1:

@@ -16,18 +16,11 @@ from itertools import product
 from .graph import Graph
 from .rdf import Assignment
 
-DEFAULT_CAP = 12
+CAP = 12
 
 
 class OracleCapExceeded(ValueError):
-    """Refusal to brute-force a graph larger than the configured cap."""
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise OracleCapExceeded(
-            f"brute force refused: n={n} exceeds cap={cap} (3^n assignments)"
-        )
+    """Refusal to brute-force a graph larger than :data:`CAP`."""
 
 
 def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
@@ -59,16 +52,18 @@ def _covered(f: Assignment, ones: int, twos: int, standard: bool):
             yield (ones | bit if standard else ones), twos ^ bit
 
 
-def brute_minimal_rdfs(g: Graph, order: str = "standard",
-                       cap: int = DEFAULT_CAP) -> list[Assignment]:
+def brute_minimal_rdfs(g: Graph, order: str = "standard"
+                       ) -> list[Assignment]:
     """All minimal rdfs of ``g`` in the given order, sorted as digit strings.
 
     ``order`` is "standard" (0 < 1 < 2) or "po" (0 < 1, 0 < 2, with 1 and
-    2 incomparable).
+    2 incomparable).  Refuses a graph of more than :data:`CAP` vertices.
     """
     if order not in ("standard", "po"):
         raise ValueError(f"unknown order {order!r}")
-    _check_cap(g.n, cap)
+    if g.n > CAP:
+        raise OracleCapExceeded(f"brute force refused: n={g.n} exceeds "
+                                f"cap={CAP} (3^n assignments)")
     rdfs = _all_rdfs(g)
     # Raising a value keeps every vertex dominated, so the rdfs are closed
     # upwards in both orders, and f is minimal iff no assignment that f

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from romandom.enum_refined import SearchState
 from romandom.graph import Graph
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
-from romandom.oracle import DEFAULT_CAP, brute_minimal_rdfs
+from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import Assignment
 
 
@@ -37,7 +37,7 @@ def leq_po(f: Assignment, h: Assignment) -> bool:
 
 
 def brute_ext(g: Graph, f: Assignment, forbidden: Iterable[int] = (),
-              order: str = "standard", cap: int = DEFAULT_CAP,
+              order: str = "standard",
               minimal: Sequence[Assignment] | None = None) -> bool:
     """Is there a minimal rdf above ``f`` whose 2-set avoids ``forbidden``?
 
@@ -46,7 +46,7 @@ def brute_ext(g: Graph, f: Assignment, forbidden: Iterable[int] = (),
     and order.
     """
     if minimal is None:
-        minimal = brute_minimal_rdfs(g, order=order, cap=cap)
+        minimal = brute_minimal_rdfs(g, order=order)
     forb = set(forbidden)
     leq = leq_standard if order == "standard" else leq_po
     return any(leq(f, cand) and not any(cand[v] == 2 for v in forb)

@@ -156,15 +156,17 @@ def _checked_run(g):
       phase properties of each priority the search moves past, and gates
       tau = sum over the entered children of 1.9332^-(mu(node) - mu(child))
       at <= 1 + 1e-9 at nodes of priority 1 and 2, the branchings the
-      O(1.9332^n) analysis bounds this way.
+      O(1.9332^n) analysis bounds this way.  At priority 3 it only
+      records tau.
 
-    Returns the stream, the stats and the largest tau per priority.
+    Returns the stream, the stats and the tau of every inner node, listed
+    per priority.
     """
     reduce = enum_refined.apply_reductions
     private_near = RefinedEnumerator._private_near
     node = RefinedEnumerator._node
     frames = []  # per open node: its measure, its entered children's
-    worst = {1: 0.0, 2: 0.0}
+    taus = {1: [], 2: [], 3: []}
 
     def checked_reduce(state, branch=None):
         trace = reduce(state, branch)
@@ -199,17 +201,18 @@ def _checked_run(g):
         frames.append((measure(self.state), []))
         node(self, last_priority)
         mu, children = frames.pop()
-        if priority in worst:
+        if priority:
             tau = sum(1.9332 ** (child - mu) for child in children)
-            assert tau <= 1 + 1e-9, f"tau {tau} at priority {priority}"
-            worst[priority] = max(worst[priority], tau)
+            assert priority == 3 or tau <= 1 + 1e-9, (
+                f"tau {tau} at priority {priority}")
+            taus[priority].append(tau)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enum_refined, "apply_reductions", checked_reduce)
         mp.setattr(RefinedEnumerator, "_private_near", checked_private_near)
         mp.setattr(RefinedEnumerator, "_node", checked_node)
         out, stats = _run(g)
-    return out, stats, worst
+    return out, stats, taus
 
 
 def test_refined_c5(c5):
@@ -320,7 +323,31 @@ def test_reduction_steps_golden(monkeypatch, g, count, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-def test_seeded_reductions_match_full(monkeypatch):
+@pytest.mark.parametrize("g, expected", [
+    (gen_c5_copies(3), (8190, 935, 4095, 5532, 241, 3756)),
+    (gen_cycle(14), (2982, 466, 1491, 2235, 198, 1851)),
+    (gen_random(12, 0.2, 7), (316, 134, 158, 452, 95, 237)),
+], ids=["c5pow3", "cycle14", "random12"])
+def test_rule_tests_golden(monkeypatch, g, expected):
+    # pins how often each rule is tested, in the order LPN, V0, V2, NPD,
+    # NPN, Isolate: a pend that tests more than it needs shows here, where
+    # timing noise cannot hide it
+    tested = Counter()
+
+    def counted(rule, test):
+        def wrapper(*args):
+            tested[rule] += 1
+            return test(*args)
+        return wrapper
+
+    monkeypatch.setattr(enum_refined, "_TESTS", tuple(
+        counted(rule, test)
+        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS)))
+    enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert dict(tested) == dict(zip(enum_refined._RULES, expected))
+
+
+def test_seeded_reductions_match_full(monkeypatch, catalog6):
     # a call seeded at the branch vertex, with the kept once/twice, relabels
     # exactly as a call that pends every vertex and rebuilds them
     checked = []
@@ -339,14 +366,16 @@ def test_seeded_reductions_match_full(monkeypatch):
 
     monkeypatch.setattr(enum_refined, "apply_reductions", compare)
     rng = random.Random(23)
-    for _ in range(12):
-        g = gen_random(10, rng.choice((0.15, 0.25, 0.4)), rng.randrange(10**6))
+    graphs = [gen_random(10, rng.choice((0.15, 0.25, 0.4)),
+                         rng.randrange(10**6)) for _ in range(12)]
+    for g in graphs + catalog6:
         enumerate_minimal_rdf_refined(g, lambda f: None)
     assert any(b is not None for b in checked)
 
 
 # The list-based rule bodies the bit-set rules of enum_refined replaced,
 # kept as an independent reference: each reads the labels and the counts.
+# They include the paper's V1, which the engine leaves out as inert.
 
 def _ref_lpn(adj, labels, counts, v):
     if labels[v] != 2:
@@ -405,18 +434,20 @@ def _ref_isolate(adj, labels, counts, v):
     return ()
 
 
-_REF_TESTS = (_ref_lpn, _ref_v0, _ref_v1, _ref_v2, _ref_npd, _ref_npn,
-              _ref_isolate)
+# All seven rules in the scan order, and the six the engine keeps.
+_REF_RULES = {"LPN": _ref_lpn, "V0": _ref_v0, "V1": _ref_v1, "V2": _ref_v2,
+              "NPD": _ref_npd, "NPN": _ref_npn, "Isolate": _ref_isolate}
+_ENGINE_REF_RULES = {rule: _REF_RULES[rule] for rule in enum_refined._RULES}
 
 
-def _scan_reductions(adj, labels):
+def _scan_reductions(adj, labels, rules=_REF_RULES):
     # The scan semantics the worklist replays: after every step, restart
     # from the first rule and the lowest vertex; Isolate only once nothing
     # is active.
     steps = []
     while True:
         counts = two_counts(adj, [v for v, x in enumerate(labels) if x == 2])
-        for rule, test in zip(enum_refined._RULES, _REF_TESTS):
+        for rule, test in rules.items():
             if rule == RULE_ISOLATE and ACTIVE in labels:
                 continue
             hit = next(filter(None, (test(adj, labels, counts, v)
@@ -444,8 +475,8 @@ def test_rule_bitsets_match_reference():
         assert [(state.once >> v & 1, state.twice >> v & 1, state.c1 >> v & 1)
                 for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
                                          for c in counts]
-        for rule, test, ref in zip(enum_refined._RULES, enum_refined._TESTS,
-                                   _REF_TESTS):
+        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS):
+            ref = _REF_RULES[rule]
             for v in range(g.n):
                 got = test(labels, state.masks, state.nbr, state.c1, v)
                 expected = ref(g.adj, labels, counts, v)
@@ -463,7 +494,7 @@ def test_reductions_match_scan_on_random_labellings():
                        rng.randrange(10**6))
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         expected = list(labels)
-        scan = _scan_reductions(g.adj, expected)
+        scan = _scan_reductions(g.adj, expected, _ENGINE_REF_RULES)
         grdf = SearchState(g, labels)
         assert apply_reductions(grdf).steps == scan
         assert grdf.labels == expected
@@ -471,9 +502,10 @@ def test_reductions_match_scan_on_random_labellings():
     assert fired == set(enum_refined._RULES)
 
 
-def test_reductions_match_scan_in_refined_runs(monkeypatch):
+def test_reductions_match_scan_in_refined_runs(monkeypatch, catalog6):
     # every call of a search, seeded at its branch vertex, relabels as the
-    # scan does from the same state
+    # scan does from the same state; the scan has all seven rules, so V1
+    # never applies where the search goes
     calls = []
 
     def compare(grdf, branch):
@@ -490,7 +522,7 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch):
     graphs = [gen_star(8), gen_c5_copies(2), gen_cycle(10)]
     graphs += [gen_random(rng.randint(6, 12), rng.choice((0.15, 0.25, 0.4)),
                           rng.randrange(10**6)) for _ in range(8)]
-    for g in graphs:
+    for g in graphs + catalog6:
         enumerate_minimal_rdf_refined(g, lambda f: None)
     assert any(branch is not None for branch in calls)
 
@@ -567,7 +599,7 @@ def test_tau_at_most_one_at_priorities_1_and_2(catalog7):
     graphs = list(catalog7)
     graphs += [gen_random(rng.randint(8, 14), rng.choice((0.15, 0.25, 0.4)),
                           rng.randrange(10**6)) for _ in range(20)]
-    worst = {1: 0.0, 2: 0.0}
+    taus = {1: [], 2: [], 3: []}
     for g in graphs:
         out, stats, tau = _checked_run(g)
         walk = []
@@ -575,11 +607,29 @@ def test_tau_at_most_one_at_priorities_1_and_2(catalog7):
         assert sorted(out) == sorted(walk)
         assert len(set(out)) == len(out)
         assert stats.max_gap <= 2 * g.n
-        worst = {p: max(worst[p], tau[p]) for p in worst}
+        if g.n <= 6:
+            assert max(tau[3], default=0.0) <= 1, "tau > 1 below order 7"
+        for p in taus:
+            taus[p] += tau[p]
     # the worst branchings: drops (1 + W1, 1 - W2) at priority 1, which
     # the weights make tight, and (2, 1 - W2) at priority 2
-    assert worst[1] == pytest.approx(0.99999, abs=1e-5)
-    assert worst[2] == pytest.approx(0.9342, abs=1e-4)
+    assert max(taus[1]) == pytest.approx(0.99999, abs=1e-5)
+    assert max(taus[2]) == pytest.approx(0.9342, abs=1e-4)
+    # priority 3 is not gated: a few of its branchings exceed 1
+    over = [tau for tau in taus[3] if tau > 1]
+    assert (len(taus[3]), len(over)) == (11036, 13)
+    assert max(over) == pytest.approx(1.03235, abs=1e-5)
+
+
+def test_tau_above_one_at_priority_3():
+    # the smallest connected graph with a priority-3 branching of tau > 1;
+    # at that node (labels 4 2 3 3 3 4 4) each not-1 vertex gives the same
+    # tau, so no choice of branch vertex would help
+    g = Graph.from_edges(7, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5),
+                             (2, 6), (3, 6), (4, 5), (5, 6)])
+    out, _, tau = _checked_run(g)
+    assert sorted(out) == brute_minimal_rdfs(g)
+    assert [round(t, 5) for t in tau[3] if t > 1] == [1.03235]
 
 
 @pytest.mark.parametrize("verdict", [True, False], ids=["alive", "dead"])

@@ -1,7 +1,8 @@
 import pytest
 
+import romandom.oracle as oracle
 from romandom import brute_minimal_rdfs, gen_null, gen_star
-from romandom.oracle import OracleCapExceeded
+from romandom.oracle import CAP, OracleCapExceeded
 from romandom.rdf import format_assignment
 from support import brute_ext
 
@@ -42,12 +43,13 @@ def test_output_sorted(c5):
     assert len(set(out)) == len(out)
 
 
-def test_cap_refusal():
-    with pytest.raises(OracleCapExceeded):
+def test_cap_refusal(monkeypatch):
+    # the boundary at the real cap, without running the 3^12 assignments
+    assert CAP == 12
+    monkeypatch.setattr(oracle, "_all_rdfs", lambda g: [])
+    assert brute_minimal_rdfs(gen_null(12)) == []
+    with pytest.raises(OracleCapExceeded, match="n=13 exceeds cap=12"):
         brute_minimal_rdfs(gen_null(13))
-    with pytest.raises(OracleCapExceeded):
-        brute_minimal_rdfs(gen_null(4), cap=3)
-    assert len(brute_minimal_rdfs(gen_null(4), cap=4)) == 1
 
 
 def test_bad_order(p2):

@@ -8,11 +8,12 @@ include/exclude walk over such 2-sets, kept as bit sets (:func:`_walk`),
 that enters a child only if its 2-set is in the family (Read and Tarjan's
 flashlight search).  So the exclude child is always entered: the walk
 descends each exclude chain to its leaf in place and stacks only include
-children, every frame lies on the path to some leaf, and every leaf is a
-solution.  At most n inner frames pass between two outputs, the tree has
-at most n + 1 frames per solution, and the stack holds at most n frames,
-one per depth.  Adding v to S changes the domination counts only on N[v],
-so only members within distance 2 of v can lose a private neighbor.
+children, every frame lies on the path to a leaf, and every leaf is a
+solution: at most n inner frames pass between two outputs, and the stack
+holds at most n frames.  Adding v to S changes domination only on N[v],
+so only members within distance 2 of v can lose a private neighbor.  A
+leaf's values (2 on a member, else 0 if dominated, else 1) are looked up
+four vertices at a time in the table ``_VALUES``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .rdf import Assignment
 from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
+
+_VALUES = tuple(tuple(2 if m >> i & 1 else 0 if d >> i & 1 else 1
+                      for i in range(4)) for m in range(16) for d in range(16))
 
 
 def _walk(g: Graph, sink: Sink, po: bool,
@@ -41,18 +45,20 @@ def _walk(g: Graph, sink: Sink, po: bool,
     each tested at its v and at the members in ``g.ball2[v]``.  The chain
     from depth d counts n - d + 1 tree nodes and n - d inner frames of gap,
     and ``stats`` (a new :class:`EnumStats` by default) is exact whenever
-    the sink runs or raises.
+    the sink runs or raises.  A leaf takes n/4 ``_VALUES`` lookups, each
+    appended to one list in amortized constant time, so the list work is
+    linear; a tuple grown by ``+=`` would copy its prefix at every chunk.
     """
     start = time.perf_counter()
     stats = EnumStats() if stats is None else stats
     n = g.n
     order = range(n) if po else range(n - 1, -1, -1)
-    bits = [1 << x for x in range(n)]
-    near = [m | b for m, b in zip(g.nbr, bits)]
+    near = [m | 1 << x for x, m in enumerate(g.nbr)]
     test = near if po else g.nbr
     # The decision at each depth: (child depth, bit, test, N[v], N[N[v]]).
-    steps = [(d + 1, bits[v], test[v], near[v], g.ball2[v])
+    steps = [(d + 1, 1 << v, test[v], near[v], g.ball2[v])
              for d, v in enumerate(order)]
+    chunks = range(0, n, 4)
     gap = 0
     stack = [(0, 0, 0, 0)]
     pop, push = stack.pop, stack.append
@@ -77,10 +83,14 @@ def _walk(g: Graph, sink: Sink, po: bool,
                     push((child, s | b, once2, twice2))
             stats.tree_nodes += n - depth + 1
             gap = n - depth
-            sink(tuple([2 if s & b else 0 if once & b else 1
-                        for b in bits]))
+            leaf = []
+            for shift in chunks:
+                leaf += _VALUES[(s >> shift & 15) << 4 | once >> shift & 15]
+            del leaf[n:]
+            sink(tuple(leaf))
             stats.solutions += 1
-            stats.max_gap = max(stats.max_gap, gap)
+            if gap > stats.max_gap:
+                stats.max_gap = gap
     finally:
         stats.max_gap = max(stats.max_gap, gap)
         stats.wall_ms = int((time.perf_counter() - start) * 1000)

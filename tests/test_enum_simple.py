@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -8,6 +9,7 @@ from romandom import (EnumStats, ExtensionInstance,
                       ext_rd, gen_c5_copies, gen_cycle, gen_ext_po_rd,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
+from romandom.enum_simple import _VALUES
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import format_assignment, two_counts, two_set
 
@@ -147,8 +149,8 @@ _WALKS = ((enumerate_minimal_rdf_simple, False),
           (enumerate_po_minimal_simple, True))
 
 
-def _assert_same_as_frame_walk(g):
-    for enumerator, po in _WALKS:
+def _assert_same_as_frame_walk(g, walks=_WALKS):
+    for enumerator, po in walks:
         out, stats = _collect(enumerator, g)
         ref_out = []
         ref = _frame_walk(g, ref_out.append, po)
@@ -258,6 +260,84 @@ def test_walks_match_frame_walk_on_random_graphs():
                          ids=["star1", "star12", "null0", "null1", "null15"])
 def test_walks_match_frame_walk_on_families(g):
     _assert_same_as_frame_walk(g)
+
+
+# Orders on both sides of the leaf table's 4-vertex chunks and of the
+# 32- and 64-bit machine words.
+_BOUNDARY = (3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65)
+
+
+@pytest.mark.parametrize("rays", _BOUNDARY)
+def test_sweep_matches_frame_walk_on_stars_across_boundaries(rays):
+    # the PO walk has 2^rays + 1 leaves here; its test takes the first 500
+    g = gen_star(rays)
+    _assert_same_as_frame_walk(g, _WALKS[:1])
+    assert enumerate_minimal_rdf_simple(g, lambda f: None).solutions == (
+        rays + 2)
+
+
+def _first_leaves(walk, limit):
+    # the stream and counters of a walk whose sink raises at leaf ``limit``
+    out = []
+    stats = EnumStats()
+
+    def sink(f):
+        out.append(f)
+        if len(out) == limit:
+            raise _Enough
+
+    try:
+        walk(sink, stats)
+    except _Enough:
+        pass
+    return out, (stats.solutions, stats.tree_nodes, stats.max_gap)
+
+
+@pytest.mark.parametrize("k", _BOUNDARY)
+def test_po_walk_matches_frame_walk_across_boundaries(k):
+    for g, count in ((gen_null(k), 2 ** k), (gen_star(k), 2 ** k + 1)):
+        out, stats = _first_leaves(
+            lambda sink, st: enumerate_po_minimal_simple(g, sink, stats=st),
+            500)
+        ref_out, ref = _first_leaves(
+            lambda sink, st: _frame_walk(g, sink, True, st), 500)
+        assert len(out) == min(500, count)
+        assert out == ref_out and stats == ref
+
+
+def test_leaf_table_follows_the_vertex_rule():
+    # entry m << 4 | d: 2 at a member, else 0 at a dominated vertex, else 1
+    assert len(_VALUES) == 256
+    for m in range(16):
+        for d in range(16):
+            expected = []
+            for i in range(4):
+                if m >> i & 1:
+                    expected.append(2)
+                elif d >> i & 1:
+                    expected.append(0)
+                else:
+                    expected.append(1)
+            assert _VALUES[m << 4 | d] == tuple(expected), (m, d)
+
+
+@pytest.mark.parametrize("enumerator, g, count, digest", [
+    (enumerate_minimal_rdf_simple, gen_c5_copies(3), 4096,
+     "0ecddd732407df0d"),
+    (enumerate_minimal_rdf_simple, gen_cycle(14), 1492, "51054bca94ed4f28"),
+    (enumerate_minimal_rdf_simple, gen_random(12, 0.2, 7), 159,
+     "07ffe0eb60e81668"),
+    (enumerate_po_minimal_simple, gen_star(10), 1025, "e69b07c662cee460"),
+    (enumerate_po_minimal_simple, gen_null(10), 1024, "bc9fed786f76e691"),
+], ids=["sweep-c5pow3", "sweep-cycle14", "sweep-random12", "po-star10",
+        "po-null10"])
+def test_walk_stream_golden(enumerator, g, count, digest):
+    # pins the ordered stream: the bench digests sort the lines
+    lines = []
+    enumerator(g, lambda f: lines.append(format_assignment(f)))
+    text = "\n".join(lines)
+    assert len(lines) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def _stats_seen_by_sink(walk, g, stop_at=None):

@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream all minimal rdfs of a graph")
     p.add_argument("graph", help="edge-list file")
     p.add_argument("--mode", choices=["simple", "refined", "oracle"],
-                   default="refined")
+                   default="simple")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of solutions")

@@ -12,8 +12,8 @@ children, every frame lies on the path to a leaf, and every leaf is a
 solution: at most n inner frames pass between two outputs, and the stack
 holds at most n frames.  Adding v to S changes domination only on N[v],
 so only members within distance 2 of v can lose a private neighbor.  A
-leaf's values (2 on a member, else 0 if dominated, else 1) are looked up
-four vertices at a time in the table ``_VALUES``.
+frame carries its leaf's values (2 on a member, else 0 if dominated, else
+1) as one int, a byte per vertex: a leaf is one ``to_bytes`` call.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
 
-_VALUES = tuple(tuple(2 if m >> i & 1 else 0 if d >> i & 1 else 1
-                      for i in range(4)) for m in range(16) for d in range(16))
-
 
 def _walk(g: Graph, sink: Sink, po: bool,
           stats: EnumStats | None = None) -> EnumStats:
@@ -38,16 +35,19 @@ def _walk(g: Graph, sink: Sink, po: bool,
     ``po`` picks only the vertex order and the privacy test: the sweep
     decides the vertices from n-1 down to 0 and tests open neighborhoods,
     the PO walk goes from 0 up and tests closed ones.  A frame is ``(depth,
-    S, once, twice)``, with ``once``/``twice`` the vertices that have at
-    least one/two members of S in their closed neighborhood: x keeps a
-    private neighbor iff ``nbr[x] & once & ~twice``.  A popped frame walks
-    its exclude chain to the leaf, pushing the include children it meets,
-    each tested at its v and at the members in ``g.ball2[v]``.  The chain
-    from depth d counts n - d + 1 tree nodes and n - d inner frames of gap,
-    and ``stats`` (a new :class:`EnumStats` by default) is exact whenever
-    the sink runs or raises.  A leaf takes n/4 ``_VALUES`` lookups, each
-    appended to one list in amortized constant time, so the list work is
-    linear; a tuple grown by ``+=`` would copy its prefix at every chunk.
+    S, once, twice, vals)``, with ``once``/``twice`` the vertices that have
+    at least one/two members of S in their closed neighborhood: x keeps a
+    private neighbor iff ``nbr[x] & once & ~twice``.  Byte x of ``vals``
+    (vertex 0 lowest) is x's value.  ``spread[v]`` has a 1 byte at each
+    vertex of N[v], and bit 0 of a byte is set exactly when its value is
+    1, so an include of v subtracts ``vals & spread[v]`` (its undominated
+    vertices go to 0) and adds ``2 << 8*v``: no byte leaves [0, 2], so
+    nothing borrows or carries, and a leaf is one linear ``to_bytes``.  A
+    popped frame walks its exclude chain to the leaf, pushing the include
+    children it meets, each tested at its v and at the members in
+    ``g.ball2[v]``.  The chain from depth d counts n - d + 1 tree nodes and
+    n - d inner frames of gap, and ``stats`` (a new :class:`EnumStats` by
+    default) is exact whenever the sink runs or raises.
     """
     start = time.perf_counter()
     stats = EnumStats() if stats is None else stats
@@ -55,17 +55,20 @@ def _walk(g: Graph, sink: Sink, po: bool,
     order = range(n) if po else range(n - 1, -1, -1)
     near = [m | 1 << x for x, m in enumerate(g.nbr)]
     test = near if po else g.nbr
-    # The decision at each depth: (child depth, bit, test, N[v], N[N[v]]).
-    steps = [(d + 1, 1 << v, test[v], near[v], g.ball2[v])
-             for d, v in enumerate(order)]
-    chunks = range(0, n, 4)
+    ones = int.from_bytes(b"\1" * n, "little")
+    zeros = 48 * ones  # ord("0") in every byte
+    # Per depth: child depth, bit, test, N[v], N[N[v]], spread[v] (the bit
+    # string of N[v] read as bytes) and 2 << 8*v.
+    steps = [(d + 1, 1 << v, test[v], near[v], g.ball2[v],
+              int.from_bytes(format(near[v], f"0{n}b").encode(), "big")
+              - zeros, 2 << 8 * v) for d, v in enumerate(order)]
     gap = 0
-    stack = [(0, 0, 0, 0)]
+    stack = [(0, 0, 0, 0, ones)]
     pop, push = stack.pop, stack.append
     try:
         while stack:
-            depth, s, once, twice = pop()
-            for child, b, own, around, ball in steps[depth:]:
+            depth, s, once, twice, vals = pop()
+            for child, b, own, around, ball, spread, two in steps[depth:]:
                 # After adding v, its private neighbors are the tested ones
                 # outside once.
                 if not own & ~once:
@@ -80,14 +83,11 @@ def _walk(g: Graph, sink: Sink, po: bool,
                         break
                     members ^= low
                 else:
-                    push((child, s | b, once2, twice2))
+                    push((child, s | b, once2, twice2,
+                          vals - (vals & spread) + two))
             stats.tree_nodes += n - depth + 1
             gap = n - depth
-            leaf = []
-            for shift in chunks:
-                leaf += _VALUES[(s >> shift & 15) << 4 | once >> shift & 15]
-            del leaf[n:]
-            sink(tuple(leaf))
+            sink(tuple(vals.to_bytes(n, "little")))
             stats.solutions += 1
             if gap > stats.max_gap:
                 stats.max_gap = gap

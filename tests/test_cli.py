@@ -56,15 +56,28 @@ def test_enumerate_po_star_count(tmp_path, capsys):
 def test_enumerate_order_zero(tmp_path, capsys):
     path = tmp_path / "empty.edges"
     path.write_text("0 0\n")
-    assert main(["enumerate", str(path), "--count-only"]) == 0
+    assert main(["enumerate", str(path), "--mode", "refined",
+                 "--count-only"]) == 0
     assert _lines(capsys) == ["1"]
-    assert main(["enumerate", str(path)]) == 0
+    assert main(["enumerate", str(path), "--mode", "refined"]) == 0
     assert capsys.readouterr().out == "\n"
     # the empty root is a leaf: one node, and 1 / 1.9332^0 = 1.0
-    assert main(["enumerate", str(path), "--stats", "json"]) == 0
+    assert main(["enumerate", str(path), "--mode", "refined", "--stats",
+                 "json"]) == 0
     stats = json.loads(capsys.readouterr().err)
     assert (stats["solutions"], stats["tree_nodes"], stats["tree_ratio"]) == (
         1, 1, 1.0)
+
+
+def test_enumerate_defaults_to_the_walk(tmp_path, catalog6, capsys):
+    path = tmp_path / "g.edges"
+    for g in catalog6:
+        path.write_text(to_edge_list(g))
+        outputs = []
+        for mode in ([], ["--mode", "simple"]):
+            assert main(["enumerate", str(path), *mode]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_enumerate_refined_po_rejected(c5_file, capsys):
@@ -74,8 +87,8 @@ def test_enumerate_refined_po_rejected(c5_file, capsys):
 
 
 def test_enumerate_stats_json(c5_file, capsys):
-    assert main(["enumerate", c5_file, "--count-only", "--stats",
-                 "json"]) == 0
+    assert main(["enumerate", c5_file, "--mode", "refined", "--count-only",
+                 "--stats", "json"]) == 0
     captured = capsys.readouterr()
     stats = json.loads(captured.err)
     assert stats["solutions"] == 16

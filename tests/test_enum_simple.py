@@ -9,7 +9,6 @@ from romandom import (EnumStats, ExtensionInstance,
                       ext_rd, gen_c5_copies, gen_cycle, gen_ext_po_rd,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
-from romandom.enum_simple import _VALUES
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import format_assignment, two_counts, two_set
 
@@ -262,8 +261,8 @@ def test_walks_match_frame_walk_on_families(g):
     _assert_same_as_frame_walk(g)
 
 
-# Orders on both sides of the leaf table's 4-vertex chunks and of the
-# 32- and 64-bit machine words.
+# Orders on both sides of the 32- and 64-bit machine words of the bit sets
+# and of the 4- and 8-byte words of the value vector a leaf is read from.
 _BOUNDARY = (3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65)
 
 
@@ -305,20 +304,20 @@ def test_po_walk_matches_frame_walk_across_boundaries(k):
         assert out == ref_out and stats == ref
 
 
-def test_leaf_table_follows_the_vertex_rule():
-    # entry m << 4 | d: 2 at a member, else 0 at a dominated vertex, else 1
-    assert len(_VALUES) == 256
-    for m in range(16):
-        for d in range(16):
-            expected = []
-            for i in range(4):
-                if m >> i & 1:
-                    expected.append(2)
-                elif d >> i & 1:
-                    expected.append(0)
-                else:
-                    expected.append(1)
-            assert _VALUES[m << 4 | d] == tuple(expected), (m, d)
+@pytest.mark.parametrize("g", [gen_random(300, 0.01, s) for s in (1, 2, 3)]
+                         + [gen_null(300)],
+                         ids=["random300-1", "random300-2", "random300-3",
+                              "null300"])
+def test_walks_match_frame_walk_on_many_digits(g):
+    # a leaf's value vector spans 300 bytes, eighty 30-bit digits of an int;
+    # the sweep on the null graph has the one all-1 leaf
+    for walk, po in _WALKS:
+        out, stats = _first_leaves(
+            lambda sink, st: walk(g, sink, stats=st), 500)
+        ref_out, ref = _first_leaves(
+            lambda sink, st: _frame_walk(g, sink, po, st), 500)
+        assert len(out) == (500 if po or g.edge_count() else 1)
+        assert out == ref_out and stats == ref
 
 
 @pytest.mark.parametrize("enumerator, g, count, digest", [

@@ -62,13 +62,6 @@ from .stats import EnumStats
 
 Sink = Callable[[Assignment], None]
 
-RULE_LPN = "LPN"
-RULE_V0 = "V0"
-RULE_V2 = "V2"
-RULE_NPD = "NPD"
-RULE_NPN = "NPN"
-RULE_ISOLATE = "Isolate"
-
 # A trace step is (rule, vertex, old_label, new_label).
 TraceStep = tuple[str, int, int, int]
 
@@ -97,17 +90,17 @@ class SearchState:
     and ``ball2`` are the graph's :attr:`~.graph.Graph.nbr` and
     :attr:`~.graph.Graph.ball2`, shared, not copied.  ``once``
     and ``twice`` are the vertices with at least one and at least two
-    2-vertices in their closed neighborhood, and ``c1 = once & ~twice``
-    those with exactly one, its private neighbors.  No rule creates a 2,
-    so only :meth:`add_two` (for each initial 2 and at a set branch) and
-    the branch's restore change them.
+    2-vertices in their closed neighborhood; their readers derive
+    ``once & ~twice``, the vertices with exactly one, the private
+    neighbors.  No rule creates a 2, so only :meth:`add_two` (for each
+    initial 2 and at a set branch) and the branch's restore change them.
     """
 
     def __init__(self, g: Graph, labels: list[int]):
         self.labels = labels
         self.nbr, self.ball2 = g.nbr, g.ball2
         self.masks = [0] * (ACTIVE + 1)
-        self.once = self.twice = self.c1 = 0
+        self.once = self.twice = 0
         for v, x in enumerate(labels):
             self.masks[x] |= 1 << v
             if x == 2:
@@ -120,11 +113,10 @@ class SearchState:
         self.labels[v] = new
 
     def add_two(self, v: int) -> None:
-        """Count the 2 at v in ``once``, ``twice`` and ``c1``."""
+        """Count the 2 at v in ``once`` and ``twice``."""
         near = self.nbr[v] | 1 << v
         self.twice |= self.once & near
         self.once |= near
-        self.c1 = self.once & ~self.twice
 
 
 def _around(nbr: tuple[int, ...], vertices: int) -> int:
@@ -139,7 +131,7 @@ def _around(nbr: tuple[int, ...], vertices: int) -> int:
 
 # The rules in the order they are tried.  Each applies only at a vertex
 # with one particular label (LPN and V2 at 2-vertices).
-_RULES = (RULE_LPN, RULE_V0, RULE_V2, RULE_NPD, RULE_NPN, RULE_ISOLATE)
+_RULES = ("LPN", "V0", "V2", "NPD", "NPN", "Isolate")
 _LPN, _V0, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
 
 
@@ -162,7 +154,7 @@ def _enabled_around(old: int, new: int, idle: bool) -> tuple:
 _ENABLED_AROUND = [[[_enabled_around(old, new, idle) for idle in (False, True)]
                     for new in range(ACTIVE + 1)] for old in range(ACTIVE + 1)]
 
-# Each rule test takes (labels, masks, nbr, c1, v), the state's parts, and
+# Each rule test takes (labels, masks, nbr, c1 = once & ~twice, v) and
 # returns the relabels (w, new) it makes at v, empty if it does not apply.
 
 
@@ -301,7 +293,8 @@ def apply_reductions(state: SearchState,
     Otherwise every vertex is pended.  Returns the trace needed to undo
     the relabelings.
     """
-    labels, masks, nbr, c1 = state.labels, state.masks, state.nbr, state.c1
+    labels, masks, nbr = state.labels, state.masks, state.nbr
+    c1 = state.once & ~state.twice
     n = len(labels)
     trace = ReductionTrace()
     steps = trace.steps
@@ -432,7 +425,7 @@ class RefinedEnumerator:
             )
         fires = self.stats.rule_fires
         old = state.labels[v]
-        once, twice, c1 = state.once, state.twice, state.c1
+        once, twice = state.once, state.twice
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
         seed = (v, old) if last_priority else None
@@ -442,8 +435,8 @@ class RefinedEnumerator:
             if new == 2:
                 state.add_two(v)
             # A deny keeps the parent's 2-set and once/twice, which passed
-            # the test.  The test reads only c1, nbr and the 2-set, which no
-            # rule changes, so it runs before the pass; by I2 no 1 is next
+            # the test.  It reads only once/twice, nbr and the 2-set, which
+            # no rule changes, so it runs before the pass; by I2 no 1 is next
             # to a 2 at a fixpoint, so the solver's saturation adds nothing.
             if new != 2 or self._private_near(v):
                 trace = apply_reductions(state, seed)
@@ -454,16 +447,16 @@ class RefinedEnumerator:
             else:
                 self.stats.prunes += 1
             state.relabel(v, old)
-            state.once, state.twice, state.c1 = once, twice, c1
+            state.once, state.twice = once, twice
 
     def _private_near(self, b: int) -> bool:
         """The extension test after setting b to 2, from the parent's pass.
 
         Only 2-vertices within distance 2 of b can have lost their last
-        private neighbor (a neighbor in ``c1``), and b needs one too.
+        private neighbor (one in ``once & ~twice``), and b needs one too.
         """
         state = self.state
-        nbr, c1 = state.nbr, state.c1
+        nbr, c1 = state.nbr, state.once & ~state.twice
         twos = state.ball2[b] & state.masks[2]
         while twos:
             low = twos & -twos

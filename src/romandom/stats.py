@@ -28,9 +28,3 @@ class EnumStats:
     tree_ratio: float = 0.0
     rule_fires: dict[str, int] = field(default_factory=dict)
     prunes: int = 0
-
-    def to_json(self) -> dict:
-        """The counters as a dict, with copies of the two dicts in it."""
-        return {**vars(self),
-                "phase_transitions": dict(self.phase_transitions),
-                "rule_fires": dict(self.rule_fires)}

@@ -86,6 +86,25 @@ def test_enumerate_refined_po_rejected(c5_file, capsys):
     assert "standard order only" in capsys.readouterr().err
 
 
+# What ``--stats json`` prints in every mode, and the counters that only
+# the refined search fills.
+_COMMON_STATS = {"solutions", "tree_nodes", "max_gap", "wall_ms"}
+_REFINED_STATS = {"phase_transitions", "tree_ratio", "rule_fires", "prunes"}
+
+
+@pytest.mark.parametrize("mode, order", [
+    ("simple", "standard"), ("simple", "po"), ("oracle", "standard"),
+    ("oracle", "po"), ("refined", "standard")])
+def test_enumerate_stats_json_keys_per_mode(c5_file, capsys, mode, order):
+    assert main(["enumerate", c5_file, "--mode", mode, "--order", order,
+                 "--count-only", "--stats", "json"]) == 0
+    out, err = capsys.readouterr()
+    stats = json.loads(err)
+    expected = _COMMON_STATS | (_REFINED_STATS if mode == "refined" else set())
+    assert set(stats) == expected
+    assert stats["solutions"] == int(out) > 0 and stats["tree_nodes"] > 0
+
+
 def test_enumerate_stats_json(c5_file, capsys):
     assert main(["enumerate", c5_file, "--mode", "refined", "--count-only",
                  "--stats", "json"]) == 0
@@ -151,6 +170,8 @@ def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
     *_, stats_line, last = err.splitlines()
     assert last == b"interrupted"
     stats = json.loads(stats_line)
+    assert set(stats) == _COMMON_STATS | (
+        _REFINED_STATS if mode == "refined" else set())
     # The line being written when Ctrl-C came is not counted yet.
     written = (first + rest).count(b"\n")
     assert stats["solutions"] <= written <= stats["solutions"] + 1
@@ -200,6 +221,37 @@ def test_parser_reuse_leaks_nothing_between_calls(c5_file, p2_file, capsys):
     assert capsys.readouterr() == ("YES 02201\n", "")
     info = build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 5)
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    # a file that is not UTF-8 (a UTF-16 byte-order mark), one that does not
+    # parse, and a graph above the oracle's cap
+    paths = {name: tmp_path / f"{name}.edges"
+             for name in ("binary", "malformed", "c5pow3")}
+    paths["binary"].write_bytes(b"\xff\xfe 2 1\n0 1\n")
+    paths["malformed"].write_text("2 1\n0 x\n")
+    paths["c5pow3"].write_text(to_edge_list(gen_c5_copies(3)))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "{binary}"], "cannot read {binary}: 'utf-8' codec"),
+    (["extend", "{binary}", "00"], "cannot read {binary}: 'utf-8' codec"),
+    (["check", "{binary}", "00"], "cannot read {binary}: 'utf-8' codec"),
+    (["enumerate", "{malformed}"], "{malformed}: line 2: non-integer vertex"),
+    (["enumerate", "{c5pow3}", "--mode", "oracle"], "n=15 exceeds cap=12"),
+    (["check", "{c5pow3}", "2020"], "assignment length 4 != graph order 15"),
+    (["bench", "--family", "c5pow:1:1", "--modes", "foo"],
+     "unknown mode 'foo'"),
+], ids=["enumerate-not-utf8", "extend-not-utf8", "check-not-utf8",
+        "parse-error", "oracle-above-cap", "check-wrong-length",
+        "bench-unknown-mode"])
+def test_refusals_exit_2_with_a_message(bad_inputs, capsys, argv, message):
+    assert main([arg.format(**bad_inputs) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert message.format(**bad_inputs) in err
 
 
 def test_enumerate_missing_file(capsys):

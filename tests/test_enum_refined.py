@@ -12,10 +12,8 @@ from romandom import (Graph, enumerate_minimal_rdf_refined,
                       gen_disjoint_union, gen_null, gen_random, gen_star,
                       is_minimal_rdf)
 import romandom.enum_refined as enum_refined
-from romandom.enum_refined import (RULE_ISOLATE, RULE_LPN, RULE_NPD,
-                                   RULE_V0, RULE_V2, RefinedEnumerator,
-                                   SearchState, apply_reductions,
-                                   pick_branch_vertex, undo)
+from romandom.enum_refined import (RefinedEnumerator, SearchState,
+                                   apply_reductions, pick_branch_vertex, undo)
 from romandom.extension import gen_ext_rd, project_grdf
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, measure
 from romandom.oracle import brute_minimal_rdfs
@@ -61,14 +59,14 @@ def test_reductions_two_next_to_active(p2):
     # the active ray is the 2-vertex's last candidate private neighbor
     grdf = SearchState(p2, [2, ACTIVE])
     trace = apply_reductions(grdf)
-    assert trace.steps[0] == (RULE_LPN, 1, ACTIVE, 0)
+    assert trace.steps[0] == ("LPN", 1, ACTIVE, 0)
     assert grdf.labels == [2, 0]
 
 
 def test_reductions_two_next_to_several_active(k13):
     grdf = SearchState(k13, [2, ACTIVE, ACTIVE, ACTIVE])
     trace = apply_reductions(grdf)
-    assert trace.steps[0] == (RULE_V2, 1, ACTIVE, NOT_ONE)
+    assert trace.steps[0] == ("V2", 1, ACTIVE, NOT_ONE)
     assert grdf.labels == [2, 0, 0, 0]
 
 
@@ -77,8 +75,7 @@ def test_reductions_trapped_not_two(p2):
     grdf = SearchState(p2, [NOT_TWO, NOT_TWO])
     trace = apply_reductions(grdf)
     assert grdf.labels == [1, 1]
-    assert trace.steps == [(RULE_NPD, 0, NOT_TWO, 1),
-                           (RULE_NPD, 1, NOT_TWO, 1)]
+    assert trace.steps == [("NPD", 0, NOT_TWO, 1), ("NPD", 1, NOT_TWO, 1)]
     assert adj == _adj(p2)
     undo(trace, grdf)
     assert grdf.labels == [NOT_TWO, NOT_TWO]
@@ -173,9 +170,8 @@ def _checked_run(g):
         bad = violated_invariants(g.adj, state.labels)
         assert not bad, f"invariants {bad} violated after reductions"
         fresh = SearchState(g, list(state.labels))
-        assert (state.masks, state.once, state.twice, state.c1) == (
-            fresh.masks, fresh.once, fresh.twice, fresh.c1), (
-            "search state out of step")
+        assert (state.masks, state.once, state.twice) == (
+            fresh.masks, fresh.once, fresh.twice), "search state out of step"
         child = measure(state)
         assert child < frames[-1][0], "measure did not fall"
         frames[-1][1].append(child)
@@ -355,8 +351,7 @@ def test_seeded_reductions_match_full(monkeypatch, catalog6):
     def compare(grdf, branch):
         state = list(grdf.labels)
         fresh = SearchState(g, list(state))
-        assert (grdf.once, grdf.twice, grdf.c1) == (
-            fresh.once, fresh.twice, fresh.c1)
+        assert (grdf.once, grdf.twice) == (fresh.once, fresh.twice)
         trace = apply_reductions(grdf, branch)
         full = SearchState(g, state)
         assert apply_reductions(full).steps == trace.steps
@@ -448,7 +443,7 @@ def _scan_reductions(adj, labels, rules=_REF_RULES):
     while True:
         counts = two_counts(adj, [v for v, x in enumerate(labels) if x == 2])
         for rule, test in rules.items():
-            if rule == RULE_ISOLATE and ACTIVE in labels:
+            if rule == "Isolate" and ACTIVE in labels:
                 continue
             hit = next(filter(None, (test(adj, labels, counts, v)
                                      for v in range(len(labels)))), None)
@@ -472,13 +467,14 @@ def test_rule_bitsets_match_reference():
         labels = [rng.randrange(ACTIVE + 1) for _ in range(g.n)]
         counts = two_counts(g.adj, [v for v, x in enumerate(labels) if x == 2])
         state = SearchState(g, labels)
-        assert [(state.once >> v & 1, state.twice >> v & 1, state.c1 >> v & 1)
+        c1 = state.once & ~state.twice
+        assert [(state.once >> v & 1, state.twice >> v & 1, c1 >> v & 1)
                 for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
                                          for c in counts]
         for rule, test in zip(enum_refined._RULES, enum_refined._TESTS):
             ref = _REF_RULES[rule]
             for v in range(g.n):
-                got = test(labels, state.masks, state.nbr, state.c1, v)
+                got = test(labels, state.masks, state.nbr, c1, v)
                 expected = ref(g.adj, labels, counts, v)
                 assert tuple(got) == expected, (rule, v, labels)
                 if expected:
@@ -552,8 +548,8 @@ def test_refined_past_one_machine_word():
 
 def test_refined_rule_fires_and_prunes():
     stats = enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None)
-    assert stats.rule_fires == {RULE_LPN: 3880, RULE_V0: 669, RULE_V2: 430,
-                                RULE_NPD: 3979, RULE_ISOLATE: 1452}
+    assert stats.rule_fires == {"LPN": 3880, "V0": 669, "V2": 430,
+                                "NPD": 3979, "Isolate": 1452}
     assert stats.prunes == 553
     for g, prunes in ((gen_cycle(14), 134), (gen_random(12, 0.2, 7), 5)):
         assert enumerate_minimal_rdf_refined(g, lambda f: None).prunes == prunes
@@ -684,13 +680,14 @@ def test_refined_stats_phase_transitions(c5):
     assert stats.tree_nodes > 0
 
 
-def test_stats_to_json_is_a_shallow_copy():
+def test_stats_asdict_is_a_copy():
+    # what ``--stats json`` dumps: every counter, sharing no dict with the
+    # stats it was taken from
     _, stats = _run(gen_c5_copies(2))
     assert stats.rule_fires and stats.phase_transitions and stats.prunes
     before = dataclasses.asdict(stats)
-    got = stats.to_json()
-    assert got == before
-    assert json.dumps(got) == json.dumps(before)
+    got = dataclasses.asdict(stats)
+    assert json.loads(json.dumps(got)) == got == vars(stats)
     got["rule_fires"].clear()
     got["phase_transitions"]["0->1"] = -1
     got["solutions"] = -1
@@ -701,3 +698,12 @@ def test_state_shares_the_graph_neighborhoods(c5):
     state = SearchState(c5, [ACTIVE] * 5)
     assert state.nbr is c5.nbr
     assert SearchState(c5, [2, 0, 1, 1, 0]).nbr is state.nbr
+
+
+def test_refined_refuses_an_asymmetric_graph_before_output():
+    # 1 lists 2 as a neighbor, but 2 does not list 1
+    g = Graph(3, (frozenset({1}), frozenset({0, 2}), frozenset()))
+    out = []
+    with pytest.raises(ValueError, match=r"asymmetric edge \(1,2\)"):
+        enumerate_minimal_rdf_refined(g, out.append)
+    assert out == []

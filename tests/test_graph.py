@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from romandom import (gen_c5_copies, gen_cycle, gen_disjoint_union, gen_null,
-                      gen_random, gen_star, parse_edge_list, to_edge_list)
+from romandom import (Graph, gen_c5_copies, gen_cycle, gen_disjoint_union,
+                      gen_null, gen_random, gen_star, parse_edge_list,
+                      to_edge_list)
 from romandom.graph import GraphFormatError
 
 
@@ -92,6 +93,43 @@ def test_parse_self_loop_rejected():
         parse_edge_list("3 1\n1 1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3 1 0\n", "line 1: expected header 'n m'"),
+    ("three 1\n", "line 1: non-integer header"),
+    ("3 -1\n", "line 1: negative count in header"),
+    ("3 1\n0 b\n", "line 2: non-integer vertex id"),
+    ("3 2\n0 1\n", "header promises 2 edges, found 1"),
+])
+def test_parse_rejects(text, message):
+    with pytest.raises(GraphFormatError) as exc:
+        parse_edge_list(text)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "vertex count must be non-negative"),
+    (3, [(0, 3)], "edge (0,3) out of range for n=3"),
+    (3, [(1, 1)], "self-loop at vertex 1"),
+])
+def test_from_edges_rejects(n, edges, message):
+    with pytest.raises(ValueError) as exc:
+        Graph.from_edges(n, edges)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (3, [{1}, {0}], "adjacency length does not match vertex count"),
+    (2, [{1}, {0, 2}], "neighbor 2 of 1 out of range"),
+    (2, [{0, 1}, {0}], "self-loop at 0"),
+    (3, [{1}, {0, 2}, set()], "asymmetric edge (1,2)"),
+])
+def test_validate_rejects_hand_built_adjacency(n, adj, message):
+    g = Graph(n, tuple(frozenset(near) for near in adj))
+    with pytest.raises(ValueError) as exc:
+        g.validate()
+    assert message in str(exc.value)
+
+
 def test_parse_comments_blank_lines_crlf():
     g = parse_edge_list("# a comment\r\n3 2\r\n\r\n0 1\r\n# more\r\n1 2\r\n")
     assert g.n == 3 and g.edge_count() == 2
@@ -115,6 +153,18 @@ def test_parse_missing_header():
 def test_gen_cycle_rejects_small():
     with pytest.raises(ValueError):
         gen_cycle(2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_star(0), "a star needs at least one ray"),
+    (lambda: gen_c5_copies(0), "need at least one copy"),
+    (lambda: gen_random(5, -0.1, 1), "edge probability must be in [0, 1]"),
+    (lambda: gen_random(5, 1.5, 1), "edge probability must be in [0, 1]"),
+])
+def test_generators_reject_bad_parameters(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert message in str(exc.value)
 
 
 def test_gen_null():

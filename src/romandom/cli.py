@@ -8,8 +8,15 @@ success / yes / minimal, 1 for no / not minimal, 2 for usage errors,
 traceback; ``enumerate --stats json`` prints the counters gathered so far
 first).  A refined search deeper than the recursion limit is a usage
 error: it exits 2 and suggests ``--mode simple``.  When the reader closes
-stdout early (``romandom enumerate g.edges | head``) the command stops
+stdout early (``romandom enumerate g.edges | head``) any command stops
 quietly with exit code 0.
+
+``enumerate`` writes each solution with one ``write`` and no flush: the
+subset walk hands over its output line as is, and the other modes format
+theirs.  On a terminal stdout is line-buffered; on a pipe or file it goes
+out in blocks of about 8 KiB, so a reader gets a line at most about
+8192/(n+1) solutions later, or at the end, on Ctrl-C, or when stdout
+closes: the delay stays polynomial.
 
 :func:`main` may be called many times in one process; the parser is built
 on the first call and reused.
@@ -62,9 +69,22 @@ def _check_mode(mode: str, order: str) -> None:
 
 
 def _run_enumeration(g: Graph, mode: str, order: str, sink,
-                     stats: EnumStats) -> EnumStats:
-    """Run one enumeration, keeping its counters in ``stats`` as it goes."""
+                     stats: EnumStats, lines: bool = False) -> EnumStats:
+    """Run one enumeration, keeping its counters in ``stats`` as it goes.
+
+    With ``lines``, ``sink`` receives each solution as its output line in
+    every mode: the walk hands over its own, the others are formatted.
+    """
     _check_mode(mode, order)
+    if mode == "simple":
+        walk = (enumerate_po_minimal_simple if order == "po"
+                else enumerate_minimal_rdf_simple)
+        return walk(g, sink, stats=stats, lines=lines)
+    if lines:
+        emit = sink
+
+        def sink(f):
+            emit(format_assignment(f) + "\n")
     if mode == "oracle":
         start = time.perf_counter()
         try:
@@ -77,10 +97,6 @@ def _run_enumeration(g: Graph, mode: str, order: str, sink,
             stats.solutions += 1
         stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return stats
-    if mode == "simple":
-        if order == "po":
-            return enumerate_po_minimal_simple(g, sink, stats=stats)
-        return enumerate_minimal_rdf_simple(g, sink, stats=stats)
     try:
         return enumerate_minimal_rdf_refined(g, sink, stats=stats)
     except RecursionError as exc:
@@ -104,21 +120,18 @@ def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     collected: list[str] = []
     if args.count_only:
-        def sink(f):
+        def emit(line):
             pass
     elif args.sorted:
-        def sink(f):
-            collected.append(format_assignment(f))
+        emit = collected.append
     else:
-        write, flush = sys.stdout.write, sys.stdout.flush
-
-        def sink(f):
-            write(format_assignment(f) + "\n")
-            flush()
+        # No flush per line: stdout is line-buffered on a terminal and
+        # block-buffered on a pipe or file.
+        emit = sys.stdout.write
 
     stats = EnumStats()
     try:
-        _run_enumeration(g, args.mode, args.order, sink, stats)
+        _run_enumeration(g, args.mode, args.order, emit, stats, lines=True)
     except KeyboardInterrupt:
         # Ctrl-C: report the counters gathered so far, then main exits 130.
         if args.stats == "json":
@@ -127,8 +140,8 @@ def _cmd_enumerate(args) -> int:
     if args.count_only:
         print(stats.solutions)
     elif args.sorted:
-        for line in sorted(collected):
-            print(line)
+        # Lines of one length with one "\n" each sort as their digits do.
+        sys.stdout.writelines(sorted(collected))
     if args.stats == "json":
         print(_stats_json(stats, args.mode), file=sys.stderr)
     return 0
@@ -308,7 +321,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, not at exit, so a closed pipe lands in the handler.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import romandom
-from romandom import gen_c5_copies, gen_cycle, gen_star, to_edge_list
+from romandom import (enumerate_minimal_rdf_simple, format_assignment,
+                      gen_c5_copies, gen_cycle, gen_star, to_edge_list)
 from romandom.cli import build_parser, main
 
 
@@ -70,6 +71,8 @@ def test_enumerate_order_zero(tmp_path, capsys):
 
 
 def test_enumerate_defaults_to_the_walk(tmp_path, catalog6, capsys):
+    # both runs print the walk's own lines; the library walk's tuples,
+    # formatted, are the reference
     path = tmp_path / "g.edges"
     for g in catalog6:
         path.write_text(to_edge_list(g))
@@ -77,7 +80,10 @@ def test_enumerate_defaults_to_the_walk(tmp_path, catalog6, capsys):
         for mode in ([], ["--mode", "simple"]):
             assert main(["enumerate", str(path), *mode]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        walk = []
+        enumerate_minimal_rdf_simple(g, walk.append)
+        outputs.append("".join(format_assignment(f) + "\n" for f in walk))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_enumerate_refined_po_rejected(c5_file, capsys):
@@ -121,7 +127,9 @@ def test_enumerate_stats_json(c5_file, capsys):
 
 
 def _cli_env():
+    # without PYTHONUNBUFFERED: the child buffers stdout as users' runs do
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(romandom.__file__).parents[1]), env.get("PYTHONPATH", "")])
     return env
@@ -145,6 +153,30 @@ def test_enumerate_closed_stdout_exits_quietly(tmp_path):
         assert proc.wait(timeout=60) == 0
     assert len(first.strip()) == 20
     assert b"Traceback" not in err and b"Error" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "5"],
+    ["enumerate", "{c5}"],
+    ["enumerate", "{c5}", "--count-only"],
+    ["enumerate", "{c5}", "--sorted"],
+    ["check", "{c5}", "20200"],
+    ["extend", "{c5}", "20000"],
+], ids=["gen", "enumerate", "enumerate-count-only", "enumerate-sorted",
+        "check", "extend"])
+def test_closed_pipe_exits_0_quietly(c5_file, argv):
+    # the reader is gone before the child starts, and the whole output fits
+    # in stdout's buffer, so the first write to the pipe is main's flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "romandom.cli",
+             *[arg.format(c5=c5_file) for arg in argv]],
+            stdout=write, stderr=subprocess.PIPE, env=_cli_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_enumerate_interrupt_exits_130(tmp_path):

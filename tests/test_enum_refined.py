@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from romandom import (Graph, enumerate_minimal_rdf_refined,
-                      enumerate_minimal_rdf_simple, gen_c5_copies, gen_cycle,
+                      enumerate_minimal_rdf_simple,
+                      enumerate_po_minimal_simple, gen_c5_copies, gen_cycle,
                       gen_disjoint_union, gen_null, gen_random, gen_star,
                       is_minimal_rdf)
 import romandom.enum_refined as enum_refined
@@ -701,9 +702,12 @@ def test_state_shares_the_graph_neighborhoods(c5):
 
 
 def test_refined_refuses_an_asymmetric_graph_before_output():
-    # 1 lists 2 as a neighbor, but 2 does not list 1
+    # 1 lists 2 as a neighbor, but 2 does not list 1; the walks refuse it too
     g = Graph(3, (frozenset({1}), frozenset({0, 2}), frozenset()))
-    out = []
-    with pytest.raises(ValueError, match=r"asymmetric edge \(1,2\)"):
-        enumerate_minimal_rdf_refined(g, out.append)
-    assert out == []
+    for enumerator in (enumerate_minimal_rdf_refined,
+                       enumerate_minimal_rdf_simple,
+                       enumerate_po_minimal_simple):
+        out = []
+        with pytest.raises(ValueError, match=r"asymmetric edge \(1,2\)"):
+            enumerator(g, out.append)
+        assert out == []

@@ -150,12 +150,10 @@ _WALKS = ((enumerate_minimal_rdf_simple, False),
 
 def _assert_same_as_frame_walk(g, walks=_WALKS):
     for enumerator, po in walks:
-        out, stats = _collect(enumerator, g)
-        ref_out = []
-        ref = _frame_walk(g, ref_out.append, po)
-        assert out == ref_out
-        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
-            ref.solutions, ref.tree_nodes, ref.max_gap)
+        out, stats = _walk_leaves(enumerator, g)
+        ref_out, ref = _first_leaves(
+            lambda sink, st: _frame_walk(g, sink, po, st))
+        assert out == ref_out and stats == ref
 
 
 def test_simple_c5_count(c5):
@@ -275,7 +273,7 @@ def test_sweep_matches_frame_walk_on_stars_across_boundaries(rays):
         rays + 2)
 
 
-def _first_leaves(walk, limit):
+def _first_leaves(walk, limit=None):
     # the stream and counters of a walk whose sink raises at leaf ``limit``
     out = []
     stats = EnumStats()
@@ -292,12 +290,23 @@ def _first_leaves(walk, limit):
     return out, (stats.solutions, stats.tree_nodes, stats.max_gap)
 
 
+def _walk_leaves(enumerator, g, limit=None):
+    # _first_leaves of a public walk, once its line form (lines=True) is
+    # checked to be the tuple form's format_assignment plus "\n", in the
+    # same order and with the same counters
+    out, stats = _first_leaves(
+        lambda sink, st: enumerator(g, sink, stats=st), limit)
+    lines, line_stats = _first_leaves(
+        lambda sink, st: enumerator(g, sink, stats=st, lines=True), limit)
+    assert lines == [format_assignment(f) + "\n" for f in out]
+    assert line_stats == stats
+    return out, stats
+
+
 @pytest.mark.parametrize("k", _BOUNDARY)
 def test_po_walk_matches_frame_walk_across_boundaries(k):
     for g, count in ((gen_null(k), 2 ** k), (gen_star(k), 2 ** k + 1)):
-        out, stats = _first_leaves(
-            lambda sink, st: enumerate_po_minimal_simple(g, sink, stats=st),
-            500)
+        out, stats = _walk_leaves(enumerate_po_minimal_simple, g, 500)
         ref_out, ref = _first_leaves(
             lambda sink, st: _frame_walk(g, sink, True, st), 500)
         assert len(out) == min(500, count)
@@ -312,8 +321,7 @@ def test_walks_match_frame_walk_on_many_digits(g):
     # a leaf's value vector spans 300 bytes, eighty 30-bit digits of an int;
     # the sweep on the null graph has the one all-1 leaf
     for walk, po in _WALKS:
-        out, stats = _first_leaves(
-            lambda sink, st: walk(g, sink, stats=st), 500)
+        out, stats = _walk_leaves(walk, g, 500)
         ref_out, ref = _first_leaves(
             lambda sink, st: _frame_walk(g, sink, po, st), 500)
         assert len(out) == (500 if po or g.edge_count() else 1)
@@ -331,12 +339,15 @@ def test_walks_match_frame_walk_on_many_digits(g):
 ], ids=["sweep-c5pow3", "sweep-cycle14", "sweep-random12", "po-star10",
         "po-null10"])
 def test_walk_stream_golden(enumerator, g, count, digest):
-    # pins the ordered stream: the bench digests sort the lines
-    lines = []
-    enumerator(g, lambda f: lines.append(format_assignment(f)))
-    text = "\n".join(lines)
-    assert len(lines) == count
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    # pins the ordered stream of both leaf forms, the digest taken over the
+    # lines joined by "\n": the bench digests sort the lines
+    for lines in (False, True):
+        out = []
+        enumerator(g, out.append, lines=lines)
+        text = "".join(out if lines else
+                       (format_assignment(f) + "\n" for f in out))
+        assert len(out) == count
+        assert hashlib.sha256(text[:-1].encode()).hexdigest()[:16] == digest
 
 
 def _stats_seen_by_sink(walk, g, stop_at=None):
@@ -374,13 +385,15 @@ def test_walk_counters_are_live_and_exact(g):
 def test_walk_counters_after_a_raising_sink(k):
     g = gen_cycle(9)
     for enumerator, po in _WALKS:
-        _, stats = _stats_seen_by_sink(
-            lambda sink, st: enumerator(g, sink, stats=st), g, k)
         _, ref = _stats_seen_by_sink(
             lambda sink, st: _frame_walk(g, sink, po, st), g, k)
-        assert stats.solutions == k - 1
-        assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
-            ref.solutions, ref.tree_nodes, ref.max_gap)
+        for lines in (False, True):
+            _, stats = _stats_seen_by_sink(
+                lambda sink, st: enumerator(g, sink, stats=st, lines=lines),
+                g, k)
+            assert stats.solutions == k - 1
+            assert (stats.solutions, stats.tree_nodes, stats.max_gap) == (
+                ref.solutions, ref.tree_nodes, ref.max_gap)
 
 
 @pytest.mark.parametrize("g, sweep, po", [

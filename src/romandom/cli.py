@@ -6,17 +6,20 @@ generators) and ``bench`` (CSV benchmark rows).  Exit codes: 0 for
 success / yes / minimal, 1 for no / not minimal, 2 for usage errors,
 130 when interrupted (Ctrl-C prints ``interrupted`` on stderr, with no
 traceback; ``enumerate --stats json`` prints the counters gathered so far
-first).  A refined search deeper than the recursion limit is a usage
-error: it exits 2 and suggests ``--mode simple``.  When the reader closes
-stdout early (``romandom enumerate g.edges | head``) any command stops
-quietly with exit code 0.
+first).  ``enumerate`` and ``bench`` refuse a run that cannot go (an
+unknown mode, refined with ``--order po``, the oracle above its cap) in
+one place, :func:`_check_mode`, before any output.  A refined search
+deeper than the recursion limit is a usage error: it exits 2 and suggests
+``--mode simple``.  When the reader closes stdout early (``romandom
+enumerate g.edges | head``) any command stops quietly with exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
 subset walk hands over its output line as is, and the other modes format
-theirs.  On a terminal stdout is line-buffered; on a pipe or file it goes
-out in blocks of about 8 KiB, so a reader gets a line at most about
-8192/(n+1) solutions later, or at the end, on Ctrl-C, or when stdout
-closes: the delay stays polynomial.
+theirs; ``--count-only`` and ``bench`` format none.  On a terminal
+stdout is line-buffered; on a pipe or file it goes out in blocks of about
+8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
+or at the end, on Ctrl-C, or when stdout closes: the delay stays
+polynomial.
 
 :func:`main` may be called many times in one process; the parser is built
 on the first call and reused.
@@ -40,7 +43,7 @@ from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                parse_edge_list, to_edge_list)
 from .extension import ExtensionInstance
 from .graph import Graph
-from .oracle import CAP, OracleCapExceeded
+from .oracle import CAP
 from .rdf import minimality_report
 from .stats import EnumStats
 
@@ -61,37 +64,41 @@ def _load_graph(path: str) -> Graph:
         raise UsageError(f"{path}: {exc}") from exc
 
 
-def _check_mode(mode: str, order: str) -> None:
-    if mode not in ("simple", "refined", "oracle"):
+_MODES = ("simple", "refined", "oracle")
+
+
+def _check_mode(mode: str, order: str, n: int) -> None:
+    """Refuse, before any output, a run on ``n`` vertices that cannot go."""
+    if mode not in _MODES:
         raise UsageError(f"unknown mode {mode!r}")
     if mode == "refined" and order == "po":
         raise UsageError("refined mode supports the standard order only")
+    if mode == "oracle" and n > CAP:
+        raise UsageError(f"oracle mode refused: n={n} exceeds cap={CAP}")
 
 
-def _run_enumeration(g: Graph, mode: str, order: str, sink,
-                     stats: EnumStats, lines: bool = False) -> EnumStats:
-    """Run one enumeration, keeping its counters in ``stats`` as it goes.
+def _discard(solution) -> None:
+    pass
 
-    With ``lines``, ``sink`` receives each solution as its output line in
-    every mode: the walk hands over its own, the others are formatted.
+
+def _run_enumeration(g: Graph, mode: str, order: str, emit,
+                     stats: EnumStats) -> EnumStats:
+    """Run one enumeration :func:`_check_mode` let through, keeping its
+    counters in ``stats`` as it goes.  ``emit`` receives each solution as
+    its output line: the walk hands over its own, the other modes format
+    theirs.  With ``emit=None`` the run only counts and formats nothing.
     """
-    _check_mode(mode, order)
     if mode == "simple":
         walk = (enumerate_po_minimal_simple if order == "po"
                 else enumerate_minimal_rdf_simple)
-        return walk(g, sink, stats=stats, lines=lines)
-    if lines:
-        emit = sink
-
-        def sink(f):
-            emit(format_assignment(f) + "\n")
+        return walk(g, emit or _discard, stats=stats, lines=True)
+    sink = _discard if emit is None else (
+        lambda f: emit(format_assignment(f) + "\n"))
     if mode == "oracle":
         start = time.perf_counter()
-        try:
-            solutions = brute_minimal_rdfs(g, order=order)
-        except OracleCapExceeded as exc:
-            raise UsageError(str(exc)) from exc
-        stats.tree_nodes = 3 ** g.n
+        solutions = brute_minimal_rdfs(g, order=order)
+        # All 3^n assignments are examined before the first line.
+        stats.tree_nodes = stats.max_gap = 3 ** g.n
         for f in solutions:
             sink(f)
             stats.solutions += 1
@@ -118,10 +125,10 @@ def _stats_json(stats: EnumStats, mode: str) -> str:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
+    _check_mode(args.mode, args.order, g.n)
     collected: list[str] = []
     if args.count_only:
-        def emit(line):
-            pass
+        emit = None
     elif args.sorted:
         emit = collected.append
     else:
@@ -131,7 +138,7 @@ def _cmd_enumerate(args) -> int:
 
     stats = EnumStats()
     try:
-        _run_enumeration(g, args.mode, args.order, emit, stats, lines=True)
+        _run_enumeration(g, args.mode, args.order, emit, stats)
     except KeyboardInterrupt:
         # Ctrl-C: report the counters gathered so far, then main exits 130.
         if args.stats == "json":
@@ -240,21 +247,15 @@ def _cmd_bench(args) -> int:
     modes = [m for m in args.modes.split(",") if m]
     if not modes:
         raise UsageError("empty mode list")
-    for mode in modes:
-        _check_mode(mode, args.order)
     graphs = _bench_instances(args.family)
-    n = max(g.n for g in graphs)
-    if "oracle" in modes and n > CAP:
-        # Before any row, as the oracle would refuse only at its own row.
-        raise UsageError(f"oracle mode refused: n={n} exceeds "
-                         f"cap={CAP}")
+    for mode in modes:
+        _check_mode(mode, args.order, max(g.n for g in graphs))
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
                      "wall_ms"])
     for g in graphs:
         for mode in modes:
-            stats = _run_enumeration(g, mode, args.order, lambda f: None,
-                                     EnumStats())
+            stats = _run_enumeration(g, mode, args.order, None, EnumStats())
             writer.writerow([g.n, mode, stats.solutions, stats.tree_nodes,
                              stats.max_gap, stats.wall_ms])
             sys.stdout.flush()
@@ -277,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all minimal rdfs of a graph")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--mode", choices=["simple", "refined", "oracle"],
-                   default="simple")
+    p.add_argument("--mode", choices=_MODES, default="simple")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of solutions")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help=f"name:lo:hi, name one of "
                    f"{', '.join(BENCH_FAMILIES)}; e.g. c5pow:1:3")
     p.add_argument("--modes", required=True,
-                   help="comma-separated: simple,refined,oracle")
+                   help=f"comma-separated: {','.join(_MODES)}")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -53,14 +53,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .graph import Graph
 from .grdf import ACTIVE, NOT_ONE, NOT_TWO
-from .rdf import Assignment
+from .rdf import Sink
 from .stats import EnumStats
-
-Sink = Callable[[Assignment], None]
 
 # A trace step is (rule, vertex, old_label, new_label).
 TraceStep = tuple[str, int, int, int]
@@ -380,7 +377,6 @@ class RefinedEnumerator:
 
     def __init__(self, g: Graph, sink: Sink, *,
                  stats: EnumStats | None = None):
-        g.validate()
         self.graph = g
         self.sink = sink
         self.state = SearchState(g, [ACTIVE] * g.n)

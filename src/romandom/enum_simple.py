@@ -22,13 +22,11 @@ receives the values as a tuple of ints.
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 from .graph import Graph
-from .rdf import Assignment
+from .rdf import Sink
 from .stats import EnumStats
 
-Sink = Callable[[Assignment], None]
 # Output digits back to values; ``translate`` also drops the line's "\n".
 _VALUES = bytes.maketrans(b"012", b"\0\1\2")
 
@@ -56,10 +54,9 @@ def _walk(g: Graph, sink: Sink, po: bool, stats: EnumStats | None = None,
     it meets, each tested at its v and at the members in ``g.ball2[v]``.
     The chain from depth d counts n - d + 1 tree nodes and n - d inner
     frames of gap, and ``stats`` (a new :class:`EnumStats` by default) is
-    exact whenever the sink runs or raises.  ``g`` is validated first, so
-    an asymmetric hand-built graph raises before any output.
+    exact whenever the sink runs or raises.  Reading ``g.nbr`` validates
+    ``g``, so an asymmetric hand-built graph raises before any output.
     """
-    g.validate()
     start = time.perf_counter()
     stats = EnumStats() if stats is None else stats
     n = g.n

@@ -1,8 +1,9 @@
 """Simple undirected graphs with dense 0-based vertex ids.
 
 Graphs are immutable after construction and safe to share across workers.
-All iteration over vertices and neighborhoods is in ascending id order so
-that every algorithm in this package produces deterministic output.
+Iteration over a neighborhood (a frozenset) is deterministic but not in
+id order; :meth:`Graph.edges` sorts, and no output of this package depends
+on the order of adjacency.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ class GraphFormatError(ValueError):
     """Raised when an edge-list input is malformed."""
 
     def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class Graph:
     lie in ``[0, n)``.  Use :meth:`from_edges` rather than building the
     adjacency tuple by hand.  :attr:`nbr` holds the same neighborhoods as
     bit sets and :attr:`ball2` the balls of radius 2; both are built on
-    first access and not compared or hashed.
+    first access, after :meth:`validate`, and not compared or hashed.
     """
 
     n: int
@@ -41,7 +40,9 @@ class Graph:
     @cached_property
     def nbr(self) -> tuple[int, ...]:
         """The open neighborhood of every vertex as a bit set (bit u =
-        vertex u), for the searches and the oracle."""
+        vertex u), for the searches and the oracle.  They all read it
+        before their first output, so the graph is validated here, once."""
+        self.validate()
         return tuple(sum(1 << u for u in near) for near in self.adj)
 
     @cached_property

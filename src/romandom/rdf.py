@@ -10,11 +10,14 @@ and 2 incomparable.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph import Graph
 
 Assignment = tuple[int, ...]
+# What an enumerator hands each solution to: the assignment, or its output
+# line when a subset walk is asked for lines.
+Sink = Callable[[Assignment], None] | Callable[[str], None]
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # text form
 
 # Condition names reported by the minimality checkers (and the CLI).

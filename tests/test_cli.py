@@ -98,9 +98,13 @@ _COMMON_STATS = {"solutions", "tree_nodes", "max_gap", "wall_ms"}
 _REFINED_STATS = {"phase_transitions", "tree_ratio", "rule_fires", "prunes"}
 
 
-@pytest.mark.parametrize("mode, order", [
-    ("simple", "standard"), ("simple", "po"), ("oracle", "standard"),
-    ("oracle", "po"), ("refined", "standard")])
+# Every mode with every order it accepts.
+_MODE_ORDERS = [("simple", "standard"), ("simple", "po"),
+                ("oracle", "standard"), ("oracle", "po"),
+                ("refined", "standard")]
+
+
+@pytest.mark.parametrize("mode, order", _MODE_ORDERS)
 def test_enumerate_stats_json_keys_per_mode(c5_file, capsys, mode, order):
     assert main(["enumerate", c5_file, "--mode", mode, "--order", order,
                  "--count-only", "--stats", "json"]) == 0
@@ -109,6 +113,23 @@ def test_enumerate_stats_json_keys_per_mode(c5_file, capsys, mode, order):
     expected = _COMMON_STATS | (_REFINED_STATS if mode == "refined" else set())
     assert set(stats) == expected
     assert stats["solutions"] == int(out) > 0 and stats["tree_nodes"] > 0
+    if mode == "oracle":
+        # all 3^5 assignments come before the first line
+        assert stats["tree_nodes"] == stats["max_gap"] == 243
+
+
+def test_counting_formats_no_solution(c5_file, capsys, monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"formatted {f}")
+
+    monkeypatch.setattr(romandom.cli, "format_assignment", refuse)
+    for mode, order in _MODE_ORDERS:
+        assert main(["enumerate", c5_file, "--mode", mode, "--order", order,
+                     "--count-only"]) == 0
+        assert int(capsys.readouterr().out) > 0
+    assert main(["bench", "--family", "c5pow:1:2",
+                 "--modes", "simple,refined,oracle"]) == 0
+    assert len(_lines(capsys)) == 7
 
 
 def test_enumerate_stats_json(c5_file, capsys):

@@ -124,10 +124,12 @@ def test_from_edges_rejects(n, edges, message):
     (3, [{1}, {0, 2}, set()], "asymmetric edge (1,2)"),
 ])
 def test_validate_rejects_hand_built_adjacency(n, adj, message):
+    # the bit sets, which every search reads first, refuse it the same way
     g = Graph(n, tuple(frozenset(near) for near in adj))
-    with pytest.raises(ValueError) as exc:
-        g.validate()
-    assert message in str(exc.value)
+    for build in (g.validate, lambda: g.nbr, lambda: g.ball2):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert message in str(exc.value)
 
 
 def test_parse_comments_blank_lines_crlf():

@@ -19,7 +19,8 @@ theirs; ``--count-only`` and ``bench`` format none.  On a terminal
 stdout is line-buffered; on a pipe or file it goes out in blocks of about
 8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
 or at the end, on Ctrl-C, or when stdout closes: the delay stays
-polynomial.
+polynomial.  It stores no solution; for sorted lines, pipe it through
+``LC_ALL=C sort``.
 
 :func:`main` may be called many times in one process; the parser is built
 on the first call and reused.
@@ -126,15 +127,9 @@ def _stats_json(stats: EnumStats, mode: str) -> str:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
     _check_mode(args.mode, args.order, g.n)
-    collected: list[str] = []
-    if args.count_only:
-        emit = None
-    elif args.sorted:
-        emit = collected.append
-    else:
-        # No flush per line: stdout is line-buffered on a terminal and
-        # block-buffered on a pipe or file.
-        emit = sys.stdout.write
+    # No flush per line: stdout is line-buffered on a terminal and
+    # block-buffered on a pipe or file.
+    emit = None if args.count_only else sys.stdout.write
 
     stats = EnumStats()
     try:
@@ -146,9 +141,6 @@ def _cmd_enumerate(args) -> int:
         raise
     if args.count_only:
         print(stats.solutions)
-    elif args.sorted:
-        # Lines of one length with one "\n" each sort as their digits do.
-        sys.stdout.writelines(sorted(collected))
     if args.stats == "json":
         print(_stats_json(stats, args.mode), file=sys.stderr)
     return 0
@@ -282,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of solutions")
-    p.add_argument("--sorted", action="store_true",
-                   help="collect and sort output lines (disables streaming)")
     p.add_argument("--stats", choices=["json"],
                    help="emit run statistics to stderr")
     p.set_defaults(func=_cmd_enumerate)

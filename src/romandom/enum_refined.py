@@ -71,24 +71,22 @@ class ReductionTrace:
 
 
 def undo(trace: ReductionTrace, state: SearchState) -> None:
-    """Reverse a recorded trace (mutates the state, relabelling inline)."""
-    labels, masks = state.labels, state.masks
-    for _rule, v, old, new in reversed(trace.steps):
-        masks[new] ^= 1 << v
-        masks[old] |= 1 << v
-        labels[v] = old
+    """Reverse a recorded trace (mutates the state)."""
+    for _rule, v, old, _new in reversed(trace.steps):
+        state.relabel(v, old)
 
 
 class SearchState:
     """The search's one state: a labeling of a graph with its 2-domination.
 
     ``labels[v]`` is the label of v (see :mod:`.grdf`) and ``masks[x]`` the
-    vertices labeled x as a bit set; :meth:`relabel` keeps both.  ``nbr``
-    and ``ball2`` are the graph's :attr:`~.graph.Graph.nbr` and
-    :attr:`~.graph.Graph.ball2`, shared, not copied.  ``once``
-    and ``twice`` are the vertices with at least one and at least two
-    2-vertices in their closed neighborhood; their readers derive
-    ``once & ~twice``, the vertices with exactly one, the private
+    vertices labeled x as a bit set; :meth:`relabel` keeps both, and is
+    the only path that changes a label (the branch, the reduction pass and
+    :func:`undo` all call it).  ``nbr`` and ``ball2`` are the graph's
+    :attr:`~.graph.Graph.nbr` and :attr:`~.graph.Graph.ball2`, shared, not
+    copied.  ``once`` and ``twice`` are the vertices with at least one and
+    at least two 2-vertices in their closed neighborhood; their readers
+    derive ``once & ~twice``, the vertices with exactly one, the private
     neighbors.  No rule creates a 2, so only :meth:`add_two` (for each
     initial 2 and at a set branch) and the branch's restore change them.
     """
@@ -324,10 +322,7 @@ def apply_reductions(state: SearchState,
         for w, new in changes:
             old = labels[w]
             steps.append((name, w, old, new))
-            # SearchState.relabel(w, new), inline.
-            masks[old] ^= 1 << w
-            masks[new] |= 1 << w
-            labels[w] = new
+            state.relabel(w, new)
             pending = _pend_moved(pending, masks, nbr, c1, n, w, old, new)
     return trace
 
@@ -396,20 +391,17 @@ class RefinedEnumerator:
             self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return self.stats
 
-    def _emit(self) -> None:
-        # _node has just checked that every label is final.
-        self.sink(tuple(self.state.labels))
-        self.stats.solutions += 1
-        self.stats.max_gap = max(self.stats.max_gap, self._gap)
-        self._gap = 0
-
     def _node(self, last_priority: int) -> None:
         """Visit one search node, at a reduction fixpoint but for the root."""
         self.stats.tree_nodes += 1
         state = self.state
         masks = state.masks
         if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
-            self._emit()
+            # Every label is final: a leaf.
+            self.sink(tuple(state.labels))
+            self.stats.solutions += 1
+            self.stats.max_gap = max(self.stats.max_gap, self._gap)
+            self._gap = 0
             return
         self._gap += 1
         # By I4 an incomplete fixpoint has an active or not-1 vertex.

@@ -1,9 +1,8 @@
 """Simple undirected graphs with dense 0-based vertex ids.
 
-Graphs are immutable after construction and safe to share across workers.
-Iteration over a neighborhood (a frozenset) is deterministic but not in
-id order; :meth:`Graph.edges` sorts, and no output of this package depends
-on the order of adjacency.
+Graphs are immutable after construction.  Iteration over a neighborhood
+(a frozenset) is deterministic but not in id order; :meth:`Graph.edges`
+sorts, and no output of this package depends on the order of adjacency.
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ def test_enumerate_count_refined(c5_file, capsys):
 def test_enumerate_modes_agree(c5_file, capsys):
     outputs = []
     for mode in ("simple", "refined", "oracle"):
-        assert main(["enumerate", c5_file, "--mode", mode, "--sorted"]) == 0
-        outputs.append(_lines(capsys))
+        assert main(["enumerate", c5_file, "--mode", mode]) == 0
+        outputs.append(sorted(_lines(capsys)))
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0]) == 16
 
@@ -84,6 +84,15 @@ def test_enumerate_defaults_to_the_walk(tmp_path, catalog6, capsys):
         enumerate_minimal_rdf_simple(g, walk.append)
         outputs.append("".join(format_assignment(f) + "\n" for f in walk))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_enumerate_has_no_sorted_option(c5_file, capsys):
+    # enumerate only streams; sorted output is one pipe away
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", c5_file, "--sorted"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --sorted" in err
 
 
 def test_enumerate_refined_po_rejected(c5_file, capsys):
@@ -180,11 +189,9 @@ def test_enumerate_closed_stdout_exits_quietly(tmp_path):
     ["gen", "cycle", "5"],
     ["enumerate", "{c5}"],
     ["enumerate", "{c5}", "--count-only"],
-    ["enumerate", "{c5}", "--sorted"],
     ["check", "{c5}", "20200"],
     ["extend", "{c5}", "20000"],
-], ids=["gen", "enumerate", "enumerate-count-only", "enumerate-sorted",
-        "check", "extend"])
+], ids=["gen", "enumerate", "enumerate-count-only", "check", "extend"])
 def test_closed_pipe_exits_0_quietly(c5_file, argv):
     # the reader is gone before the child starts, and the whole output fits
     # in stdout's buffer, so the first write to the pipe is main's flush
@@ -265,8 +272,9 @@ def test_parser_reuse_leaks_nothing_between_calls(c5_file, p2_file, capsys):
     assert out == "" and err.startswith("error: cannot read")
     assert main(["enumerate", p2_file, "--count-only"]) == 0
     assert capsys.readouterr() == ("3\n", "")
-    assert main(["enumerate", p2_file, "--sorted"]) == 0
-    assert capsys.readouterr() == ("02\n11\n20\n", "")
+    # the walk's stream order: the 2-sets' bit patterns
+    assert main(["enumerate", p2_file]) == 0
+    assert capsys.readouterr() == ("11\n20\n02\n", "")
     # Raising the 1 next to the 2 is what the forbidden vertex 1 blocks.
     assert main(["extend", c5_file, "01200", "--forbidden", "1"]) == 1
     assert capsys.readouterr() == ("NO\n", "")
@@ -305,6 +313,22 @@ def test_refusals_exit_2_with_a_message(bad_inputs, capsys, argv, message):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
     assert message.format(**bad_inputs) in err
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # each line of README's CLI examples, in order, in one directory, with
+    # ``romandom`` standing for the module and no pipefail
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## CLI examples", 1)[1]
+    lines = text.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert len(lines) == 6
+    prelude = f'romandom() {{ "{sys.executable}" -m romandom.cli "$@"; }}\n'
+    for line in lines:
+        proc = subprocess.run(["bash", "-c", prelude + line], cwd=tmp_path,
+                              capture_output=True, env=_cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b""), line
+        if "--count-only" in line:
+            assert proc.stdout == b"256\n"
 
 
 def test_enumerate_missing_file(capsys):

@@ -577,6 +577,27 @@ def test_only_entered_children_are_reduced(monkeypatch, g):
     assert stats.rule_fires == dict(fired)
 
 
+@pytest.mark.parametrize("g, expected", [
+    (gen_c5_copies(2), 2448), (gen_random(12, 0.3, 5), 2622),
+    (gen_star(9), 258), (gen_null(4), 18),
+], ids=["c5pow2", "random12", "star9", "null4"])
+def test_every_label_change_goes_through_relabel(monkeypatch, g, expected):
+    # each inner node sets and restores its vertex in both children (4
+    # calls), and each rule fire relabels once in its pass and once in undo
+    calls = []
+    relabel = SearchState.relabel
+
+    def counting(self, v, new):
+        calls.append(v)
+        relabel(self, v, new)
+
+    monkeypatch.setattr(SearchState, "relabel", counting)
+    stats = enumerate_minimal_rdf_refined(g, lambda f: None)
+    inner = stats.tree_nodes - stats.solutions
+    assert len(calls) == 4 * inner + 2 * sum(stats.rule_fires.values())
+    assert len(calls) == expected
+
+
 def test_rule_fires_same_with_assertions():
     for g in (gen_c5_copies(2), gen_random(10, 0.3, 3), gen_cycle(9)):
         plain_out, plain = _run(g)

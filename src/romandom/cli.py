@@ -10,7 +10,8 @@ first).  ``enumerate`` and ``bench`` refuse a run that cannot go (an
 unknown mode, refined with ``--order po``, the oracle above its cap) in
 one place, :func:`_check_mode`, before any output.  A refined search
 deeper than the recursion limit is a usage error: it exits 2 and suggests
-``--mode simple``.  When the reader closes stdout early (``romandom
+``--mode simple``.  An ``enumerate`` that runs out of memory exits 2 with
+a message too.  When the reader closes stdout early (``romandom
 enumerate g.edges | head``) any command stops quietly with exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
@@ -139,6 +140,9 @@ def _cmd_enumerate(args) -> int:
         if args.stats == "json":
             print(_stats_json(stats, args.mode), file=sys.stderr)
         raise
+    except MemoryError as exc:
+        raise UsageError(f"{args.mode} enumeration on {g.n} vertices ran out "
+                         "of memory") from exc
     if args.count_only:
         print(stats.solutions)
     if args.stats == "json":

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from .graph import Graph
 from .grdf import NOT_TWO
-from .rdf import Assignment, lonely_twos, two_counts, two_set
+from .rdf import Assignment, _scan, lonely_twos, two_counts
 
 if TYPE_CHECKING:
     from .enum_refined import SearchState
@@ -30,7 +30,7 @@ class ExtensionInstance:
     forbidden: frozenset[int]
 
     def __post_init__(self):
-        v2 = two_set(self.graph, self.values)
+        b, v2 = _scan(self.graph, self.values)
         forbidden, n = self.forbidden, self.graph.n
         if forbidden and not 0 <= min(forbidden) <= max(forbidden) < n:
             bad = sorted(v for v in forbidden if not 0 <= v < n)
@@ -39,19 +39,21 @@ class ExtensionInstance:
             raise ValueError("forbidden set intersects the 2-set of the "
                              f"assignment: {sorted(forbidden & set(v2))}")
         object.__setattr__(self, "_v2", v2)
+        object.__setattr__(self, "_ones", 1 in b)  # one memchr, not n compares
 
 
 def _solve(inst: ExtensionInstance, po: bool) -> Assignment | None:
     f, forbidden, adj = inst.values, inst.forbidden, inst.graph.adj
     m2 = list(inst._v2)  # a copy: saturation appends to it
 
-    if po:
+    # With no 1 in f there is nothing to saturate and no 1 next to a 2.
+    if inst._ones and po:
         # Under the PO order a 1-valued vertex can never be raised to 2, so
         # a 1-vertex next to a 2-vertex already rules out every witness:
         # keeping it at 1 violates the no-1-next-to-2 condition.
         if any(f[u] == 1 for v in m2 for u in adj[v]):
             return None
-    else:
+    elif inst._ones:
         # Saturate: a 1-vertex next to a 2-vertex must itself become 2.  The
         # closure, and whether it reaches a forbidden vertex, do not depend
         # on the visit order.

@@ -1,8 +1,9 @@
 """Simple undirected graphs with dense 0-based vertex ids.
 
-Graphs are immutable after construction.  Iteration over a neighborhood
-(a frozenset) is deterministic but not in id order; :meth:`Graph.edges`
-sorts, and no output of this package depends on the order of adjacency.
+Graphs are immutable after construction.  A neighborhood is a tuple of
+vertex ids in increasing order, and every entry for vertex v is the
+graph's one int object for v, so a graph keeps n ints, not one per edge
+end.  :meth:`Graph.edges` reads the edges off in ascending order.
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected simple graph: ``n`` vertices, set-valued adjacency.
+    """An undirected simple graph: ``n`` vertices, sorted tuple adjacency.
 
-    Invariants: adjacency is symmetric and irreflexive, all neighbor ids
-    lie in ``[0, n)``.  Use :meth:`from_edges` rather than building the
-    adjacency tuple by hand.  :attr:`nbr` holds the same neighborhoods as
-    bit sets and :attr:`ball2` the balls of radius 2; both are built on
-    first access, after :meth:`validate`, and not compared or hashed.
+    Invariants: every neighborhood is strictly increasing, adjacency is
+    symmetric and irreflexive, all neighbor ids lie in ``[0, n)``.  Use
+    :meth:`from_edges` rather than building the adjacency tuple by hand.
+    :attr:`nbr` holds the same neighborhoods as bit sets and :attr:`ball2`
+    the balls of radius 2; both are built on first access, after
+    :meth:`validate`, and not compared or hashed.
     """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    adj: tuple[tuple[int, ...], ...]
 
     @cached_property
     def nbr(self) -> tuple[int, ...]:
@@ -54,22 +56,39 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on ``n`` vertices with these edges; repeats collapse."""
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n, tuple(frozenset(s) for s in nbrs))
+        ids = list(range(n))  # the one int object of each vertex
+        near: list[list[int]] = [[] for _ in ids]
+        edges = list(edges)
+        ordered = True
+        try:
+            for u, v in edges:
+                if u | v < 0:
+                    raise IndexError  # a negative id, reported as below
+                near[u].append(ids[v])
+                near[v].append(ids[u])
+                if u >= v:
+                    if u == v:
+                        raise ValueError(f"self-loop at vertex {u}")
+                    ordered = False
+        except IndexError:
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
+        # Only a repeated edge repeats a neighbor; with every edge given as
+        # (u, v), u < v, as edge lists are written, set(edges) shows it.
+        if not ordered:
+            edges = [(u, v) if u < v else (v, u) for u, v in edges]
+        if len(set(edges)) < len(edges):
+            near = [list(set(s)) for s in near]
+        for s in near:
+            s.sort()
+        return cls(n, tuple(map(tuple, near)))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, as (u, v) with u < v, in ascending order."""
-        for u in range(self.n):
-            for v in sorted(self.adj[u]):
+        for u, near in enumerate(self.adj):
+            for v in near:
                 if u < v:
                     yield u, v
 
@@ -77,17 +96,43 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
     def validate(self) -> None:
-        """Check symmetry, irreflexivity and id bounds; raise on violation."""
-        if len(self.adj) != self.n:
+        """Check that every neighborhood is strictly increasing, in range and
+        loop-free, and that adjacency is symmetric; raise on violation.
+
+        O(n + m): in id order, each edge u < v is matched at u to the next
+        unmatched neighbor of v below v.  Adjacency is symmetric iff these
+        matches take up half of all entries.
+        """
+        n, adj = self.n, self.adj
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at {u}")
-                if u not in self.adj[v]:
-                    raise ValueError(f"asymmetric edge ({u},{v})")
+        below = [0] * n  # below[v]: neighbors of v below v matched so far
+        try:
+            for u, near in enumerate(adj):
+                last = -1
+                for v in near:
+                    if v <= last:
+                        raise ValueError(
+                            f"neighbor {v} of {u} out of range" if v < 0
+                            else f"neighbors of {u} not strictly increasing")
+                    if v > u:
+                        i = below[v]
+                        if adj[v][i] == u:
+                            below[v] = i + 1
+                    elif v == u:
+                        raise ValueError(f"self-loop at {u}")
+                    last = v
+        except IndexError:
+            if v >= n:
+                raise ValueError(f"neighbor {v} of {u} out of range") from None
+        else:
+            if 2 * sum(below) == sum(map(len, adj)):
+                return
+        # Not symmetric: name the first edge without its reverse.
+        u, v = next((u, v) for u, near in enumerate(adj) for v in near
+                    if not 0 <= v < n or u not in adj[v])
+        raise ValueError(f"neighbor {v} of {u} out of range" if not 0 <= v < n
+                         else f"asymmetric edge ({u},{v})")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -144,7 +189,8 @@ def to_edge_list(g: Graph) -> str:
 def gen_cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    edges = [(i, i + 1) for i in range(k - 1)]
+    return Graph.from_edges(k, edges + [(0, k - 1)])
 
 
 def gen_star(rays: int) -> Graph:

@@ -39,13 +39,9 @@ def format_assignment(f: Assignment) -> str:
     return bytes(f).translate(_DIGITS).decode()
 
 
-def two_set(g: Graph, f: Assignment) -> list[int]:
-    """The ids valued 2 in f, ascending, by C-level byte scans of f."""
-    return _scan(g, f)[1]
-
-
 def _scan(g: Graph, f: Assignment) -> tuple[bytearray, list[int]]:
-    # f as bytes, checked to be over {0, 1, 2}, and its 2-set.
+    # f as bytes, checked to be over {0, 1, 2}, and its 2-set, ascending,
+    # by C-level byte scans of f.
     if len(f) != g.n:
         raise ValueError("assignment length does not match graph order")
     try:
@@ -61,7 +57,7 @@ def _scan(g: Graph, f: Assignment) -> tuple[bytearray, list[int]]:
     return b, v2
 
 
-def lonely_twos(adj: tuple[frozenset[int], ...], f: Assignment,
+def lonely_twos(adj: tuple[tuple[int, ...], ...], f: Assignment,
                 v2: list[int], c: list[int]) -> Iterator[int]:
     """The ids in v2 with no 0-neighbor of count 1 (``c = two_counts(adj,
     v2)``): no private neighbor in G[V0 u V2] other than themselves."""
@@ -88,7 +84,7 @@ def is_rdf(g: Graph, f: Assignment) -> bool:
     return _census(g, f)[3]
 
 
-def two_counts(adj: tuple[frozenset[int], ...],
+def two_counts(adj: tuple[tuple[int, ...], ...],
                v2: Iterable[int]) -> list[int]:
     """``c[w] = |N[w] ∩ v2|`` for every vertex w; ``v2`` must not repeat ids.
 

@@ -8,7 +8,8 @@ against them:
 - :func:`consistent_with` and :func:`violated_invariants` check a
   labeling of the refined search (see :mod:`romandom.grdf`);
 - :func:`check_phase_properties` checks the state conditions that hold
-  once a branching priority of the refined search is exhausted.
+  once a branching priority of the refined search is exhausted;
+- :func:`two_set` lists the 2-valued vertices of an assignment.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from romandom.enum_refined import SearchState
 from romandom.graph import Graph
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import Assignment
+from romandom.rdf import Assignment, _scan
+
+
+def two_set(g: Graph, f: Assignment) -> list[int]:
+    """The ids valued 2 in f, ascending, checked as the solvers check f."""
+    return _scan(g, f)[1]
 
 
 def leq_standard(f: Assignment, h: Assignment) -> bool:
@@ -69,7 +75,7 @@ def consistent_with(assignment: tuple[int, ...], labels: list[int]) -> bool:
     return all(a in _PERMITTED[x] for a, x in zip(assignment, labels))
 
 
-def violated_invariants(adj: tuple[frozenset[int], ...],
+def violated_invariants(adj: tuple[tuple[int, ...], ...],
                         labels: list[int]) -> list[str]:
     """Which of the four state invariants fail (empty list = all hold).
 

@@ -18,8 +18,7 @@ from romandom import (ExtensionInstance, Graph,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import two_set
-from support import brute_ext, leq_po, leq_standard
+from support import brute_ext, leq_po, leq_standard, two_set
 
 # (label, n, max_gap) rows recorded by the enumeration runs in criteria
 # 1-3, asserted in criterion 5.

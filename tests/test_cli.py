@@ -259,6 +259,25 @@ def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
     assert proc.stderr.strip().endswith(b"use --mode simple")
 
 
+@pytest.mark.parametrize("mode, engine", [
+    ("simple", "enumerate_minimal_rdf_simple"),
+    ("refined", "enumerate_minimal_rdf_refined"),
+    ("oracle", "brute_minimal_rdfs"),
+])
+def test_enumerate_out_of_memory_exits_2(c5_file, capsys, monkeypatch, mode,
+                                         engine):
+    # a raise stands in for the allocation that fails; nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"romandom.cli.{engine}", exhausted)
+    assert main(["enumerate", c5_file, "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {mode} enumeration on 5 vertices ran out of "
+                   "memory\n")
+
+
 def test_parser_reuse_leaks_nothing_between_calls(c5_file, p2_file, capsys):
     build_parser.cache_clear()
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,8 @@ from romandom import (EnumStats, ExtensionInstance,
                       gen_null, gen_random, gen_star, is_minimal_rdf,
                       is_po_minimal_rdf)
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import format_assignment, two_counts, two_set
+from romandom.rdf import format_assignment, two_counts
+from support import two_set
 
 
 def _collect(enumerator, g):

@@ -11,9 +11,8 @@ from romandom.enum_refined import SearchState
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
-                          COND_PRIVACY, minimality_report, two_counts,
-                          two_set)
-from support import brute_ext, leq_po, leq_standard
+                          COND_PRIVACY, minimality_report, two_counts)
+from support import brute_ext, leq_po, leq_standard, two_set
 
 
 def test_ext_rd_star_all_zeros(k13):
@@ -313,7 +312,7 @@ def test_large_sparse_witnesses_are_minimal():
         for packed in (False, True):
             twos, taken = [], set()
             for v in rng.sample(range(n), n):
-                near = g.adj[v] | {v}
+                near = set(g.adj[v]) | {v}
                 if not packed or (g.adj[v] and taken.isdisjoint(near)):
                     twos.append(v)
                     taken |= near

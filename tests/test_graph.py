@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,9 @@ def _balls_by_bfs(g):
     # the vertices at distance at most 2, by two rounds of BFS over adj
     balls = []
     for v in range(g.n):
-        ball = {v} | g.adj[v]
+        ball = set(g.adj[v]) | {v}
         for u in g.adj[v]:
-            ball |= g.adj[u]
+            ball |= set(g.adj[u])
         balls.append(ball)
     return balls
 
@@ -118,14 +119,20 @@ def test_from_edges_rejects(n, edges, message):
 
 
 @pytest.mark.parametrize("n, adj, message", [
-    (3, [{1}, {0}], "adjacency length does not match vertex count"),
-    (2, [{1}, {0, 2}], "neighbor 2 of 1 out of range"),
-    (2, [{0, 1}, {0}], "self-loop at 0"),
-    (3, [{1}, {0, 2}, set()], "asymmetric edge (1,2)"),
+    (3, ((1,), (0,)), "adjacency length does not match vertex count"),
+    (2, ((1,), (0, 2)), "neighbor 2 of 1 out of range"),
+    (2, ((0, 1), (0,)), "self-loop at 0"),
+    (3, ((1,), (0, 2), ()), "asymmetric edge (1,2)"),
+    (2, ((-1,), ()), "neighbor -1 of 0 out of range"),
+    (3, ((2, 1), (0,), (0,)), "neighbors of 0 not strictly increasing"),
+    (2, ((1, 1), (0, 0)), "neighbors of 0 not strictly increasing"),
+    (4, ((1, 2), (0, 3), (0,), (2,)), "asymmetric edge (1,3)"),
+    (3, ((2,), (), (0, 1)), "asymmetric edge (2,1)"),
+    (3, ((1,), (0, 2), (5,)), "neighbor 5 of 2 out of range"),
 ])
 def test_validate_rejects_hand_built_adjacency(n, adj, message):
     # the bit sets, which every search reads first, refuse it the same way
-    g = Graph(n, tuple(frozenset(near) for near in adj))
+    g = Graph(n, adj)
     for build in (g.validate, lambda: g.nbr, lambda: g.ball2):
         with pytest.raises(ValueError) as exc:
             build()
@@ -176,8 +183,70 @@ def test_gen_null():
 
 def test_gen_star_center_zero():
     g = gen_star(3)
-    assert g.adj[0] == frozenset({1, 2, 3})
-    assert all(g.adj[i] == frozenset({0}) for i in (1, 2, 3))
+    assert g.adj == ((1, 2, 3), (0,), (0,), (0,))
+
+
+def _pairs(edges):
+    return sorted({(min(u, v), max(u, v)) for u, v in edges})
+
+
+def _check_tuples(g, edges):
+    # strictly increasing tuples, and edges() lists each given edge once
+    assert type(g.adj) is tuple
+    assert all(type(near) is tuple and list(near) == sorted(set(near))
+               for near in g.adj)
+    assert list(g.edges()) == _pairs(edges)
+    g.validate()
+
+
+@pytest.mark.parametrize("n, edges", [
+    (0, []),
+    (3, [(2, 0), (1, 0)]),
+    (4, [(0, 1), (1, 0), (3, 2), (0, 1), (2, 3)]),
+    (5, [(4, 0), (0, 1), (1, 2), (2, 3), (3, 4)]),
+    (6, [(u, v) for u in range(6) for v in range(6) if u != v]),
+])
+def test_from_edges_builds_strictly_increasing_tuples(n, edges):
+    _check_tuples(Graph.from_edges(n, edges), edges)
+    _check_tuples(Graph.from_edges(n, iter(edges)), edges)
+    lines = "".join(f"{u} {v}\n" for u, v in edges)
+    _check_tuples(parse_edge_list(f"{n} {len(edges)}\n{lines}"), edges)
+
+
+@pytest.mark.parametrize("g", [
+    gen_cycle(7), gen_star(5), gen_null(3), gen_c5_copies(3),
+    gen_random(30, 0.2, 3), gen_random(12, 1.0, 1),
+    gen_disjoint_union([gen_star(2), gen_null(1), gen_cycle(4)]),
+], ids=lambda g: f"n{g.n}m{g.edge_count()}")
+def test_generators_build_strictly_increasing_tuples(g):
+    _check_tuples(g, list(g.edges()))
+    # the same graph from its edges in any order and orientation
+    assert Graph.from_edges(g.n, [(v, u) for u, v in g.edges()][::-1]) == g
+
+
+def test_generator_edges_are_unchanged():
+    assert list(gen_cycle(5).edges()) == [(0, 1), (0, 4), (1, 2), (2, 3),
+                                          (3, 4)]
+    assert list(gen_star(3).edges()) == [(0, 1), (0, 2), (0, 3)]
+    assert list(gen_disjoint_union([gen_star(1), gen_cycle(3)]).edges()) == [
+        (0, 1), (2, 3), (2, 4), (3, 4)]
+    rng = random.Random(5)
+    assert list(gen_random(12, 0.3, 5).edges()) == [
+        (u, v) for u in range(12) for v in range(u + 1, 12)
+        if rng.random() < 0.3]
+
+
+def test_neighbors_share_one_int_per_vertex():
+    # ids above 256 are not cached by Python: every entry for vertex v must
+    # still be the one object the graph keeps for v
+    n = 700
+    text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+    g = parse_edge_list(text)
+    objects = {}
+    for near in g.adj:
+        for v in near:
+            assert objects.setdefault(v, v) is v
+    assert len(objects) == n
 
 
 def test_gen_disjoint_union_two_c5():
@@ -222,3 +291,77 @@ def test_order_zero_graph():
     g = parse_edge_list("0 0\n")
     assert g.n == 0
     g.validate()
+
+
+def _valid_by_definition(n, adj):
+    # strictly increasing, in range, loop-free and symmetric, read off sets
+    rows = [list(near) for near in adj]
+    return (len(rows) == n
+            and all(row == sorted(set(row)) for row in rows)
+            and all(0 <= v < n and v != u for u, row in enumerate(rows)
+                    for v in row)
+            and all(u in rows[v] for u, row in enumerate(rows) for v in row))
+
+
+def test_validate_agrees_with_the_definition():
+    # random graphs with one entry added, dropped, moved or repeated
+    rng = random.Random(26)
+    verdicts = set()
+    for trial in range(600):
+        g = gen_random(rng.randrange(1, 9), rng.choice((0.2, 0.5, 0.9)), trial)
+        rows = [list(near) for near in g.adj]
+        u = rng.randrange(g.n)
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[u].append(rng.randrange(-1, g.n + 1))
+        elif kind == 1 and rows[u]:
+            rows[u].pop(rng.randrange(len(rows[u])))
+        elif kind == 2:
+            rng.shuffle(rows[u])
+        elif kind == 3 and rows[u]:
+            rows[u].insert(0, rng.choice(rows[u]))
+        adj = tuple(map(tuple, rows))
+        valid = _valid_by_definition(g.n, adj)
+        verdicts.add(valid)
+        try:
+            Graph(g.n, adj).validate()
+        except ValueError:
+            assert not valid, adj
+        else:
+            assert valid, adj
+    assert verdicts == {True, False}
+
+
+def _sparse_edge_list(n, seed):
+    # a random tree on n - n/20 vertices, n/8 chords and n/20 pendant leaves
+    rng = random.Random(seed)
+    core = n - n // 20
+    edges = {(rng.randrange(v), v) for v in range(1, core)}
+    while len(edges) < core - 1 + n // 8:
+        edges.add(tuple(sorted(rng.sample(range(core), 2))))
+    edges |= {(c, leaf) for leaf, c in enumerate(
+        sorted(rng.sample(range(core), n - core)), start=core)}
+    lines = "".join(f"{u} {v}\n" for u, v in sorted(edges))
+    return f"{n} {len(edges)}\n{lines}", len(edges)
+
+
+def test_parsed_graph_memory_per_vertex_and_edge_end():
+    # Space gate: n ints and one tuple entry per edge end are kept, not a
+    # set per vertex and an int per edge end (100 and 192 bytes per unit
+    # with frozensets of the parser's ints).
+    n = 5600
+    text, m = _sparse_edge_list(n, 5600)
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        g = parse_edge_list(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert g.n == n and g.edge_count() == m
+    units = n + 2 * m
+    assert (retained - base) / units <= 50
+    assert (peak - base) / units <= 130

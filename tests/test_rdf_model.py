@@ -11,8 +11,8 @@ from romandom.graph import Graph
 from romandom.oracle import brute_minimal_rdfs
 from romandom.rdf import (COND_MINIMAL_DS, COND_NO_ONE_NEXT_TO_TWO,
                           COND_PRIVACY, format_assignment,
-                          minimality_report, parse_assignment, two_set)
-from support import leq_po, leq_standard
+                          minimality_report, parse_assignment)
+from support import leq_po, leq_standard, two_set
 
 
 def test_is_rdf_p2(p2):

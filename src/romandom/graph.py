@@ -98,11 +98,9 @@ class Graph:
     def validate(self) -> None:
         """Check that every neighborhood is strictly increasing, in range and
         loop-free, and that adjacency is symmetric; raise on violation.
-
         O(n + m): in id order, each edge u < v is matched at u to the next
-        unmatched neighbor of v below v.  Adjacency is symmetric iff these
-        matches take up half of all entries.
-        """
+        unmatched neighbor of v below v; symmetry holds iff the matches
+        take up half of all entries."""
         n, adj = self.n, self.adj
         if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: ``enumerate`` (stream minimal rdfs), ``extend`` (extension
-query with witness), ``check`` (minimality report), ``gen`` (instance
-generators) and ``bench`` (CSV benchmark rows).  Exit codes: 0 for
-success / yes / minimal, 1 for no / not minimal, 2 for usage errors,
-130 when interrupted (Ctrl-C prints ``interrupted`` on stderr, with no
-traceback; ``enumerate --stats json`` prints the counters gathered so far
-first).  ``enumerate`` and ``bench`` refuse a run that cannot go (an
-unknown mode, refined with ``--order po``, the oracle above its cap) in
-one place, :func:`_check_mode`, before any output.  A refined search
+query with witness), ``check`` (minimality report) and ``gen`` (instance
+generators).  Exit codes: 0 for success / yes / minimal, 1 for no / not
+minimal, 2 for usage errors, 130 when interrupted (Ctrl-C prints
+``interrupted`` on stderr, with no traceback; ``enumerate --stats json``
+prints the counters gathered so far first).  ``enumerate`` is the one
+enumeration command; it refuses a run that cannot go (refined with
+``--order po``, the oracle above its cap) in one place,
+:func:`_check_mode`, before any output.  A refined search
 deeper than the recursion limit is a usage error: it exits 2 and suggests
 ``--mode simple``.  An ``enumerate`` that runs out of memory exits 2 with
 a message too.  When the reader closes stdout early (``romandom
@@ -16,7 +16,7 @@ enumerate g.edges | head``) any command stops quietly with exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
 subset walk hands over its output line as is, and the other modes format
-theirs; ``--count-only`` and ``bench`` format none.  On a terminal
+theirs; ``--count-only`` formats none.  On a terminal
 stdout is line-buffered; on a pipe or file it goes out in blocks of about
 8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
 or at the end, on Ctrl-C, or when stdout closes: the delay stays
@@ -30,7 +30,6 @@ on the first call and reused.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -70,9 +69,8 @@ _MODES = ("simple", "refined", "oracle")
 
 
 def _check_mode(mode: str, order: str, n: int) -> None:
-    """Refuse, before any output, a run on ``n`` vertices that cannot go."""
-    if mode not in _MODES:
-        raise UsageError(f"unknown mode {mode!r}")
+    """Refuse, before any output, a run on ``n`` vertices that cannot go.
+    ``mode`` is one of ``_MODES``: argparse refuses any other."""
     if mode == "refined" and order == "po":
         raise UsageError("refined mode supports the standard order only")
     if mode == "oracle" and n > CAP:
@@ -192,8 +190,8 @@ def _cmd_check(args) -> int:
     return 1
 
 
-# Instance families shared by ``gen`` and ``bench``: name -> (generator,
-# parameter types).  ``random`` also takes the seed.
+# The instance families of ``gen``: name -> (generator, parameter types).
+# ``random`` also takes the seed.
 GENERATORS = {
     "cycle": (gen_cycle, (int,)),
     "star": (gen_star, (int,)),
@@ -201,60 +199,20 @@ GENERATORS = {
     "c5pow": (gen_c5_copies, (int,)),
     "random": (gen_random, (int, float)),
 }
-# The families with one parameter, which ``bench`` sweeps.
-BENCH_FAMILIES = tuple(name for name, (_, types) in GENERATORS.items()
-                       if types == (int,))
 
 
-def _build(family: str, params: list, seed: int = 0) -> Graph:
+def _cmd_gen(args) -> int:
+    family, params = args.family, args.params
     gen, types = GENERATORS[family]
     if len(params) != len(types):
         raise UsageError(f"{family} takes {len(types)} parameter(s), "
                          f"got {len(params)}")
     try:
         values = [t(p) for t, p in zip(types, params)]
-        return gen(*values, seed) if gen is gen_random else gen(*values)
+        g = gen(*values, args.seed) if gen is gen_random else gen(*values)
     except ValueError as exc:
         raise UsageError(f"bad parameters for {family}: {exc}") from exc
-
-
-def _cmd_gen(args) -> int:
-    g = _build(args.family, args.params, args.seed)
     sys.stdout.write(to_edge_list(g))
-    return 0
-
-
-def _bench_instances(spec: str) -> list[Graph]:
-    try:
-        name, lo, hi = spec.split(":")
-        ks = range(int(lo), int(hi) + 1)
-    except ValueError:
-        raise UsageError("family spec must look like name:lo:hi, "
-                         "e.g. c5pow:1:3") from None
-    if name not in BENCH_FAMILIES:
-        raise UsageError(f"bench family must be one of "
-                         f"{', '.join(BENCH_FAMILIES)}, got {name!r}")
-    if not ks:
-        raise UsageError(f"empty family range {lo}..{hi}")
-    return [_build(name, [k]) for k in ks]
-
-
-def _cmd_bench(args) -> int:
-    modes = [m for m in args.modes.split(",") if m]
-    if not modes:
-        raise UsageError("empty mode list")
-    graphs = _bench_instances(args.family)
-    for mode in modes:
-        _check_mode(mode, args.order, max(g.n for g in graphs))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "mode", "solutions", "tree_nodes", "max_gap",
-                     "wall_ms"])
-    for g in graphs:
-        for mode in modes:
-            stats = _run_enumeration(g, mode, args.order, None, EnumStats())
-            writer.writerow([g.n, mode, stats.solutions, stats.tree_nodes,
-                             stats.max_gap, stats.wall_ms])
-            sys.stdout.flush()
     return 0
 
 
@@ -301,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="benchmark enumerators over a family")
-    p.add_argument("--family", required=True, help=f"name:lo:hi, name one of "
-                   f"{', '.join(BENCH_FAMILIES)}; e.g. c5pow:1:3")
-    p.add_argument("--modes", required=True,
-                   help=f"comma-separated: {','.join(_MODES)}")
-    p.add_argument("--order", choices=["standard", "po"], default="standard")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

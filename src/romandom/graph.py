@@ -97,7 +97,8 @@ class Graph:
 
     def validate(self) -> None:
         """Check that every neighborhood is strictly increasing, in range and
-        loop-free, and that adjacency is symmetric; raise on violation.
+        loop-free, and that adjacency is symmetric; raise ``ValueError`` on
+        violation, a row that is not a tuple of ints included.
         O(n + m): in id order, each edge u < v is matched at u to the next
         unmatched neighbor of v below v; symmetry holds iff the matches
         take up half of all entries."""
@@ -123,6 +124,12 @@ class Graph:
         except IndexError:
             if v >= n:
                 raise ValueError(f"neighbor {v} of {u} out of range") from None
+        except TypeError:
+            # Only a row that is not a tuple of ints gets here: name the first.
+            u = next(u for u, near in enumerate(adj)
+                     if not isinstance(near, tuple)
+                     or not all(isinstance(v, int) for v in near))
+            raise ValueError(f"neighbors of {u} not a tuple of ints") from None
         else:
             if 2 * sum(below) == sum(map(len, adj)):
                 return

@@ -95,6 +95,25 @@ def test_enumerate_has_no_sorted_option(c5_file, capsys):
     assert out == "" and "unrecognized arguments: --sorted" in err
 
 
+def test_enumerate_unknown_mode_exits_2(c5_file, capsys):
+    # argparse's choices are the one refusal of a mode name
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", c5_file, "--mode", "foo"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'foo'" in err
+
+
+def test_bench_subcommand_is_gone(capsys):
+    # enumerate is the one enumeration command; gen plus --stats json give
+    # the rows bench printed
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "c5pow:1:1", "--modes", "simple"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'bench'" in err
+
+
 def test_enumerate_refined_po_rejected(c5_file, capsys):
     assert main(["enumerate", c5_file, "--mode", "refined",
                  "--order", "po"]) == 2
@@ -136,9 +155,6 @@ def test_counting_formats_no_solution(c5_file, capsys, monkeypatch):
         assert main(["enumerate", c5_file, "--mode", mode, "--order", order,
                      "--count-only"]) == 0
         assert int(capsys.readouterr().out) > 0
-    assert main(["bench", "--family", "c5pow:1:2",
-                 "--modes", "simple,refined,oracle"]) == 0
-    assert len(_lines(capsys)) == 7
 
 
 def test_enumerate_stats_json(c5_file, capsys):
@@ -242,7 +258,6 @@ def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "{path}", "--mode", "refined"],
-    ["bench", "--family", "star:400:400", "--modes", "refined"],
 ])
 def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
     path = tmp_path / "star400.edges"
@@ -322,11 +337,8 @@ def bad_inputs(tmp_path):
     (["enumerate", "{malformed}"], "{malformed}: line 2: non-integer vertex"),
     (["enumerate", "{c5pow3}", "--mode", "oracle"], "n=15 exceeds cap=12"),
     (["check", "{c5pow3}", "2020"], "assignment length 4 != graph order 15"),
-    (["bench", "--family", "c5pow:1:1", "--modes", "foo"],
-     "unknown mode 'foo'"),
 ], ids=["enumerate-not-utf8", "extend-not-utf8", "check-not-utf8",
-        "parse-error", "oracle-above-cap", "check-wrong-length",
-        "bench-unknown-mode"])
+        "parse-error", "oracle-above-cap", "check-wrong-length"])
 def test_refusals_exit_2_with_a_message(bad_inputs, capsys, argv, message):
     assert main([arg.format(**bad_inputs) for arg in argv]) == 2
     out, err = capsys.readouterr()
@@ -442,57 +454,23 @@ def test_gen_bad_params(capsys):
     assert main(["gen", "cycle"]) == 2
 
 
-def test_bench_csv(capsys):
-    assert main(["bench", "--family", "c5pow:1:2",
-                 "--modes", "simple,refined"]) == 0
-    rows = _lines(capsys)
-    assert rows[0] == "n,mode,solutions,tree_nodes,max_gap,wall_ms"
-    cells = [row.split(",") for row in rows[1:]]
-    assert [(c[0], c[1], c[2]) for c in cells] == [
-        ("5", "simple", "16"), ("5", "refined", "16"),
-        ("10", "simple", "256"), ("10", "refined", "256"),
-    ]
-
-
-def test_bench_empty_modes(capsys):
-    assert main(["bench", "--family", "c5pow:1:1", "--modes", ""]) == 2
-
-
-def test_bench_bad_family(capsys):
-    assert main(["bench", "--family", "c5pow", "--modes", "simple"]) == 2
-    assert main(["bench", "--family", "tree:1:2", "--modes", "simple"]) == 2
-    assert main(["bench", "--family", "c5pow:a:3", "--modes", "simple"]) == 2
-    assert main(["bench", "--family", "cycle:1:3", "--modes", "simple"]) == 2
-    # an empty range is a usage error, not a bare header
-    capsys.readouterr()
-    assert main(["bench", "--family", "c5pow:3:1", "--modes", "simple"]) == 2
+@pytest.mark.parametrize("k, mode, row", [
+    (1, "simple", (16, 41, 5)), (1, "refined", (16, 32, 2)),
+    (1, "oracle", (16, 243, 243)),
+    (2, "simple", (256, 681, 10)), (2, "refined", (256, 538, 4)),
+    (3, "simple", (4096, 10921, 15)), (3, "refined", (4096, 8744, 6)),
+])
+def test_gen_and_enumerate_stats_give_the_bench_rows(tmp_path, capsys, k,
+                                                     mode, row):
+    # the (solutions, tree_nodes, max_gap) of the rows that the removed
+    # ``bench --family c5pow:1:3 --modes simple,refined`` printed, and of
+    # the oracle on c5pow 1, from gen plus --stats json
+    assert main(["gen", "c5pow", str(k)]) == 0
+    path = tmp_path / f"c5pow{k}.edges"
+    path.write_text(capsys.readouterr().out)
+    assert main(["enumerate", str(path), "--mode", mode, "--count-only",
+                 "--stats", "json"]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and "empty family range 3..1" in err
-
-
-def test_bench_takes_one_parameter_families_only(capsys):
-    # random takes n and p, which name:lo:hi cannot give
-    families = "cycle, star, null, c5pow"
-    capsys.readouterr()
-    assert main(["bench", "--family", "random:8:9", "--modes", "simple"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and families in err and "'random'" in err
-    with pytest.raises(SystemExit):
-        main(["bench", "--help"])
-    assert families in " ".join(capsys.readouterr().out.split())
-
-
-def test_bench_oracle_above_cap_rejected_before_output(capsys):
-    # c5pow:1:3 reaches n = 15; no row may go out before the refusal
-    assert main(["bench", "--family", "c5pow:1:3",
-                 "--modes", "simple,oracle"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "n=15 exceeds cap=12" in err
-
-
-def test_bench_refined_po_rejected_before_output(capsys):
-    # the simple row must not go out before refined is refused
-    assert main(["bench", "--family", "c5pow:1:2", "--modes", "simple,refined",
-                 "--order", "po"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "standard order only" in err
+    stats = json.loads(err)
+    assert int(out) == stats["solutions"]
+    assert (stats["solutions"], stats["tree_nodes"], stats["max_gap"]) == row

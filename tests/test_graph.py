@@ -129,6 +129,9 @@ def test_from_edges_rejects(n, edges, message):
     (4, ((1, 2), (0, 3), (0,), (2,)), "asymmetric edge (1,3)"),
     (3, ((2,), (), (0, 1)), "asymmetric edge (2,1)"),
     (3, ((1,), (0, 2), (5,)), "neighbor 5 of 2 out of range"),
+    (2, (frozenset({1}), frozenset({0})), "neighbors of 0 not a tuple of ints"),
+    (2, ((), None), "neighbors of 1 not a tuple of ints"),
+    (2, ((1.0,), (0,)), "neighbors of 0 not a tuple of ints"),
 ])
 def test_validate_rejects_hand_built_adjacency(n, adj, message):
     # the bit sets, which every search reads first, refuse it the same way

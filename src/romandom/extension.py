@@ -4,8 +4,8 @@ Given a graph and an assignment f, decide whether some minimal rdf lies
 above f, and produce one as a witness.  Variants: a forbidden set of
 vertices that must not end up with value 2, and the PO order.  All run
 in O(n + m) time: the O(n) part is C-level work on sequences (byte
-scans of f, ``[1] * n``), and Python loops touch only N[V2], O(|V2| +
-vol(V2)) for the 2-set V2 after saturation.
+scans of f, a split for its 2-set, ``[1] * n``), and Python loops touch
+only N[V2], O(|V2| + vol(V2)) for the 2-set V2 after saturation.
 """
 
 from __future__ import annotations

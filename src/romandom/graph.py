@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from itertools import chain
+from operator import index, or_
 from typing import Iterable, Iterator
 
 
@@ -121,6 +122,9 @@ class Graph:
                     elif v == u:
                         raise ValueError(f"self-loop at {u}")
                     last = v
+            # Only ids above their row's vertex indexed a list; take every
+            # id as an index (C-level), so a float below it raises too.
+            sum(map(index, chain.from_iterable(adj)))
         except IndexError:
             if v >= n:
                 raise ValueError(f"neighbor {v} of {u} out of range") from None

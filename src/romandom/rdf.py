@@ -5,11 +5,15 @@ by vertex id.  Its text form is a digit string, index i = vertex i.
 
 Two minimality orders are supported: the standard pointwise lift of
 0 < 1 < 2, and the "PO" lift of the partial order 0 < 1, 0 < 2 with 1
-and 2 incomparable.
+and 2 incomparable.  One generator yields the failing conditions in
+report order, each only when asked for: ``minimality_report`` lists
+them, the boolean checkers stop at the first (a 1 next to a 2 is found
+before any counting).  A C-level split of f's bytes finds the 2-set.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .graph import Graph
@@ -50,10 +54,11 @@ def _scan(g: Graph, f: Assignment) -> tuple[bytearray, list[int]]:
             raise ValueError
     except (TypeError, ValueError):
         raise ValueError("assignment values must be 0, 1 or 2") from None
-    v2, v = [], b.find(2)
-    while v >= 0:
-        v2.append(v)
-        v = b.find(2, v + 1)
+    # A 0 after each 2 makes the piece lengths add up to the 2s' ids (and
+    # to n last); bytes pieces take one allocation each, bytearrays two.
+    pieces = bytes(b).replace(b"\2", b"\2\0").split(b"\2")
+    v2 = list(accumulate(map(len, pieces)))
+    v2.pop()
     return b, v2
 
 
@@ -69,19 +74,10 @@ def lonely_twos(adj: tuple[tuple[int, ...], ...], f: Assignment,
             yield v
 
 
-def _census(g: Graph, f: Assignment):
-    """``(v2, c, ones, dominated)``: the 2-set of f, its ``two_counts``,
-    the 1-vertices next to it, and whether every 0-vertex has a 2-neighbor:
-    N[v2] holds ``n - c.count(0)`` vertices, v2, ``ones`` and 0s."""
-    b, v2 = _scan(g, f)
-    c = two_counts(g.adj, v2)
-    ones = {u for v in v2 for u in g.adj[v] if f[u] == 1}
-    return v2, c, ones, b.count(0) == g.n - c.count(0) - len(v2) - len(ones)
-
-
 def is_rdf(g: Graph, f: Assignment) -> bool:
     """True iff every 0-valued vertex has a neighbor valued 2."""
-    return _census(g, f)[3]
+    b, v2 = _scan(g, f)
+    return b.count(0) == len({u for v in v2 for u in g.adj[v] if f[u] == 0})
 
 
 def two_counts(adj: tuple[tuple[int, ...], ...],
@@ -112,21 +108,30 @@ def minimality_report(g: Graph, f: Assignment,
     """
     if order not in ("standard", "po"):
         raise ValueError(f"unknown order {order!r}")
-    v2, c, ones, dominated = _census(g, f)
-    failed: list[str] = []
-    if ones:
-        failed.append(COND_NO_ONE_NEXT_TO_TWO)
-    lonely = list(lonely_twos(g.adj, f, v2, c))
-    if order == "standard" and lonely:
-        failed.append(COND_PRIVACY)
-    if not (dominated and all(c[v] == 1 for v in lonely)):
-        failed.append(COND_MINIMAL_DS)
-    return failed
+    return list(_failures(g, f, order == "po"))
+
+
+def _failures(g: Graph, f: Assignment, po: bool) -> Iterator[str]:
+    """The conditions f fails, in report order, each computed when asked."""
+    b, v2 = _scan(g, f)
+    adj = g.adj
+    ones = 0  # how many 1s N[V2] holds
+    if 1 in b and 1 in {f[u] for v in v2 for u in adj[v]}:
+        yield COND_NO_ONE_NEXT_TO_TWO
+        ones = len({u for v in v2 for u in adj[v] if f[u] == 1})
+    c = two_counts(adj, v2)
+    lonely = list(lonely_twos(adj, f, v2, c))
+    if lonely and not po:
+        yield COND_PRIVACY
+    # N[V2] holds n - c.count(0) vertices: V2, its 1s and its 0s.
+    if (b.count(0) != g.n - c.count(0) - len(v2) - ones
+            or any(c[v] != 1 for v in lonely)):
+        yield COND_MINIMAL_DS
 
 
 def is_minimal_rdf(g: Graph, f: Assignment) -> bool:
-    return not minimality_report(g, f)
+    return next(_failures(g, f, False), None) is None
 
 
 def is_po_minimal_rdf(g: Graph, f: Assignment) -> bool:
-    return not minimality_report(g, f, order="po")
+    return next(_failures(g, f, True), None) is None

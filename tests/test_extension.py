@@ -7,6 +7,7 @@ from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
                       gen_cycle, gen_ext_po_rd, gen_ext_rd, gen_null,
                       gen_random, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
                       project_grdf)
+from romandom import rdf
 from romandom.enum_refined import SearchState
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
 from romandom.oracle import brute_minimal_rdfs
@@ -242,9 +243,11 @@ def _assert_matches_reference(g, f, forbidden):
     for got, want in witnesses:
         assert got == want, (f, forbidden)
     for h in [f] + [w for w, _ in witnesses if w is not None]:
-        for order in ("standard", "po"):
-            assert minimality_report(g, h, order) == \
-                _report_reference(g, h, order), (h, order)
+        for order, check in (("standard", is_minimal_rdf),
+                             ("po", is_po_minimal_rdf)):
+            want = _report_reference(g, h, order)
+            assert minimality_report(g, h, order) == want, (h, order)
+            assert check(g, h) == (not want), (h, order)
         assert is_rdf(g, h) == _is_rdf_reference(g, h), h
 
 
@@ -298,6 +301,39 @@ def test_solvers_and_checkers_match_list_reference_planted():
         for forbidden in (frozenset(), barred - {v for v in barred
                                                   if f[v] == 2}):
             _assert_matches_reference(g, f, forbidden)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_checkers_stop_at_a_one_next_to_a_two(monkeypatch, planted):
+    # A 1 next to a 2 decides both checkers before any counting; the
+    # report goes on to every condition that fails, in report order.
+    if planted:
+        g, centres = _planted(2000, 11)
+        twos = [0] * g.n
+        for c in centres:
+            twos[c] = 2
+        f = list(ext_rd(g, tuple(twos)))
+        f[g.n - len(centres)] = 1  # the pendant leaf of the first centre
+        f = tuple(f)
+    else:
+        g, f = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), (1, 2, 2, 0)
+    reports = [minimality_report(g, f, order) for order in ("standard", "po")]
+    assert reports == [_report_reference(g, f, order)
+                       for order in ("standard", "po")]
+    assert all(r[0] == COND_NO_ONE_NEXT_TO_TWO for r in reports)
+    if not planted:
+        assert reports == [[COND_NO_ONE_NEXT_TO_TWO, COND_PRIVACY,
+                            COND_MINIMAL_DS],
+                           [COND_NO_ONE_NEXT_TO_TWO, COND_MINIMAL_DS]]
+
+    def refuse(*args):
+        raise AssertionError("two_counts reached")
+
+    monkeypatch.setattr(rdf, "two_counts", refuse)
+    assert is_minimal_rdf(g, f) is False
+    assert is_po_minimal_rdf(g, f) is False
+    with pytest.raises(AssertionError, match="two_counts reached"):
+        minimality_report(g, f)
 
 
 def test_large_sparse_witnesses_are_minimal():

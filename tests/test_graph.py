@@ -132,6 +132,7 @@ def test_from_edges_rejects(n, edges, message):
     (2, (frozenset({1}), frozenset({0})), "neighbors of 0 not a tuple of ints"),
     (2, ((), None), "neighbors of 1 not a tuple of ints"),
     (2, ((1.0,), (0,)), "neighbors of 0 not a tuple of ints"),
+    (2, ((1,), (0.0,)), "neighbors of 1 not a tuple of ints"),
 ])
 def test_validate_rejects_hand_built_adjacency(n, adj, message):
     # the bit sets, which every search reads first, refuse it the same way

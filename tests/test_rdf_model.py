@@ -121,6 +121,16 @@ def test_two_set_ascending():
     assert two_set(g, (0, 1, 2, 1, 2)) == [2, 4]
     assert two_set(g, (2, 2, 2, 2, 2)) == [0, 1, 2, 3, 4]
     assert two_set(g, (0, 1, 0, 1, 1)) == []
+    assert two_set(gen_null(0), ()) == []
+    assert two_set(g, (2, 0, 1, 0, 2)) == [0, 4]  # at both ends
+    assert two_set(gen_null(7), (0, 2, 2, 1, 2, 2, 2)) == [1, 2, 4, 5, 6]
+    rng = random.Random(119)
+    for _ in range(500):
+        n = rng.randint(0, 40)
+        f = tuple(rng.choices((0, 1, 2), rng.choice(((1, 1, 1), (5, 1, 1),
+                                                     (1, 1, 5))), k=n))
+        assert two_set(gen_null(n), f) == [i for i, x in enumerate(f)
+                                           if x == 2], f
 
 
 def _agreement(g: Graph):

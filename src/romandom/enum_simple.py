@@ -54,8 +54,7 @@ def _walk(g: Graph, sink: Sink, po: bool, stats: EnumStats | None = None,
     it meets, each tested at its v and at the members in ``g.ball2[v]``.
     The chain from depth d counts n - d + 1 tree nodes and n - d inner
     frames of gap, and ``stats`` (a new :class:`EnumStats` by default) is
-    exact whenever the sink runs or raises.  Reading ``g.nbr`` validates
-    ``g``, so an asymmetric hand-built graph raises before any output.
+    exact whenever the sink runs or raises.
     """
     start = time.perf_counter()
     stats = EnumStats() if stats is None else stats

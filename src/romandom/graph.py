@@ -1,6 +1,7 @@
 """Simple undirected graphs with dense 0-based vertex ids.
 
-Graphs are immutable after construction.  A neighborhood is a tuple of
+:meth:`Graph.from_edges` is the only constructor, so every graph is valid
+by construction and immutable after it.  A neighborhood is a tuple of
 vertex ids in increasing order, and every entry for vertex v is the
 graph's one int object for v, so a graph keeps n ints, not one per edge
 end.  :meth:`Graph.edges` reads the edges off in ascending order.
@@ -11,8 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
-from operator import index, or_
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -24,27 +24,30 @@ class GraphFormatError(ValueError):
                          else f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """An undirected simple graph: ``n`` vertices, sorted tuple adjacency.
 
     Invariants: every neighborhood is strictly increasing, adjacency is
-    symmetric and irreflexive, all neighbor ids lie in ``[0, n)``.  Use
-    :meth:`from_edges` rather than building the adjacency tuple by hand.
+    symmetric and irreflexive, all neighbor ids lie in ``[0, n)``.
+    :meth:`from_edges` is the only constructor and establishes them, so
+    no graph needs checking later; ``Graph(...)`` raises ``TypeError``.
     :attr:`nbr` holds the same neighborhoods as bit sets and :attr:`ball2`
-    the balls of radius 2; both are built on first access, after
-    :meth:`validate`, and not compared or hashed.
+    the balls of radius 2; both are built on first access and not
+    compared or hashed.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Graph with Graph.from_edges")
+
     @cached_property
     def nbr(self) -> tuple[int, ...]:
         """The open neighborhood of every vertex as a bit set (bit u =
-        vertex u), for the searches and the oracle.  They all read it
-        before their first output, so the graph is validated here, once."""
-        self.validate()
+        vertex u), for the searches and the oracle, read off rows that
+        :meth:`from_edges`, the only constructor, made valid."""
         return tuple(sum(1 << u for u in near) for near in self.adj)
 
     @cached_property
@@ -84,7 +87,10 @@ class Graph:
             near = [list(set(s)) for s in near]
         for s in near:
             s.sort()
-        return cls(n, tuple(map(tuple, near)))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(map(tuple, near)))
+        return g
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once, as (u, v) with u < v, in ascending order."""
@@ -95,53 +101,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj) // 2
-
-    def validate(self) -> None:
-        """Check that every neighborhood is strictly increasing, in range and
-        loop-free, and that adjacency is symmetric; raise ``ValueError`` on
-        violation, a row that is not a tuple of ints included.
-        O(n + m): in id order, each edge u < v is matched at u to the next
-        unmatched neighbor of v below v; symmetry holds iff the matches
-        take up half of all entries."""
-        n, adj = self.n, self.adj
-        if len(adj) != n:
-            raise ValueError("adjacency length does not match vertex count")
-        below = [0] * n  # below[v]: neighbors of v below v matched so far
-        try:
-            for u, near in enumerate(adj):
-                last = -1
-                for v in near:
-                    if v <= last:
-                        raise ValueError(
-                            f"neighbor {v} of {u} out of range" if v < 0
-                            else f"neighbors of {u} not strictly increasing")
-                    if v > u:
-                        i = below[v]
-                        if adj[v][i] == u:
-                            below[v] = i + 1
-                    elif v == u:
-                        raise ValueError(f"self-loop at {u}")
-                    last = v
-            # Only ids above their row's vertex indexed a list; take every
-            # id as an index (C-level), so a float below it raises too.
-            sum(map(index, chain.from_iterable(adj)))
-        except IndexError:
-            if v >= n:
-                raise ValueError(f"neighbor {v} of {u} out of range") from None
-        except TypeError:
-            # Only a row that is not a tuple of ints gets here: name the first.
-            u = next(u for u, near in enumerate(adj)
-                     if not isinstance(near, tuple)
-                     or not all(isinstance(v, int) for v in near))
-            raise ValueError(f"neighbors of {u} not a tuple of ints") from None
-        else:
-            if 2 * sum(below) == sum(map(len, adj)):
-                return
-        # Not symmetric: name the first edge without its reverse.
-        u, v = next((u, v) for u, near in enumerate(adj) for v in near
-                    if not 0 <= v < n or u not in adj[v])
-        raise ValueError(f"neighbor {v} of {u} out of range" if not 0 <= v < n
-                         else f"asymmetric edge ({u},{v})")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -111,6 +111,8 @@ def test_parse_rejects(text, message):
     (-1, [], "vertex count must be non-negative"),
     (3, [(0, 3)], "edge (0,3) out of range for n=3"),
     (3, [(1, 1)], "self-loop at vertex 1"),
+    (3, [(-1, 0)], "edge (-1,0) out of range for n=3"),
+    (3, [(3, 0)], "edge (3,0) out of range for n=3"),
 ])
 def test_from_edges_rejects(n, edges, message):
     with pytest.raises(ValueError) as exc:
@@ -118,7 +120,7 @@ def test_from_edges_rejects(n, edges, message):
     assert message in str(exc.value)
 
 
-@pytest.mark.parametrize("n, adj, message", [
+@pytest.mark.parametrize("n, adj, flaw", [
     (3, ((1,), (0,)), "adjacency length does not match vertex count"),
     (2, ((1,), (0, 2)), "neighbor 2 of 1 out of range"),
     (2, ((0, 1), (0,)), "self-loop at 0"),
@@ -133,14 +135,14 @@ def test_from_edges_rejects(n, edges, message):
     (2, ((), None), "neighbors of 1 not a tuple of ints"),
     (2, ((1.0,), (0,)), "neighbors of 0 not a tuple of ints"),
     (2, ((1,), (0.0,)), "neighbors of 1 not a tuple of ints"),
+    (2, ([1], [0]), "neighbors of 0 not a tuple of ints"),
 ])
-def test_validate_rejects_hand_built_adjacency(n, adj, message):
-    # the bit sets, which every search reads first, refuse it the same way
-    g = Graph(n, adj)
-    for build in (g.validate, lambda: g.nbr, lambda: g.ball2):
-        with pytest.raises(ValueError) as exc:
+def test_validate_rejects_hand_built_adjacency(n, adj, flaw):
+    # no adjacency becomes a Graph by hand, whatever its flaw: from_edges is
+    # the only constructor, so no graph needs checking later
+    for build in (lambda: Graph(n, adj), lambda: Graph(n=n, adj=adj), Graph):
+        with pytest.raises(TypeError, match=r"Graph\.from_edges"):
             build()
-        assert message in str(exc.value)
 
 
 def test_parse_comments_blank_lines_crlf():
@@ -194,13 +196,23 @@ def _pairs(edges):
     return sorted({(min(u, v), max(u, v)) for u, v in edges})
 
 
+def _valid_by_definition(n, adj):
+    # strictly increasing, in range, loop-free and symmetric, read off sets
+    rows = [list(near) for near in adj]
+    return (len(rows) == n
+            and all(row == sorted(set(row)) for row in rows)
+            and all(0 <= v < n and v != u for u, row in enumerate(rows)
+                    for v in row)
+            and all(u in rows[v] for u, row in enumerate(rows) for v in row))
+
+
 def _check_tuples(g, edges):
     # strictly increasing tuples, and edges() lists each given edge once
     assert type(g.adj) is tuple
     assert all(type(near) is tuple and list(near) == sorted(set(near))
                for near in g.adj)
     assert list(g.edges()) == _pairs(edges)
-    g.validate()
+    assert _valid_by_definition(g.n, g.adj)
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -256,7 +268,7 @@ def test_neighbors_share_one_int_per_vertex():
 def test_gen_disjoint_union_two_c5():
     g = gen_disjoint_union([gen_cycle(5), gen_cycle(5)])
     assert g.n == 10 and g.edge_count() == 10
-    g.validate()
+    assert _valid_by_definition(g.n, g.adj)
 
 
 def test_gen_c5_copies_matches_union():
@@ -283,7 +295,7 @@ def test_gen_random_deterministic():
 @given(n=st.integers(0, 20), p=st.floats(0, 1), seed=st.integers(0, 10**6))
 def test_generated_graphs_validate(n, p, seed):
     g = gen_random(n, p, seed)
-    g.validate()
+    assert _valid_by_definition(g.n, g.adj)
 
 
 def test_edge_list_round_trip():
@@ -293,22 +305,14 @@ def test_edge_list_round_trip():
 
 def test_order_zero_graph():
     g = parse_edge_list("0 0\n")
-    assert g.n == 0
-    g.validate()
-
-
-def _valid_by_definition(n, adj):
-    # strictly increasing, in range, loop-free and symmetric, read off sets
-    rows = [list(near) for near in adj]
-    return (len(rows) == n
-            and all(row == sorted(set(row)) for row in rows)
-            and all(0 <= v < n and v != u for u, row in enumerate(rows)
-                    for v in row)
-            and all(u in rows[v] for u, row in enumerate(rows) for v in row))
+    assert g.n == 0 and g.adj == ()
+    assert _valid_by_definition(g.n, g.adj)
 
 
 def test_validate_agrees_with_the_definition():
-    # random graphs with one entry added, dropped, moved or repeated
+    # random graphs with one entry added, dropped, moved or repeated, read as
+    # edge lists: from_edges refuses exactly an out-of-range id or a loop,
+    # and otherwise builds valid rows holding every listed edge once
     rng = random.Random(26)
     verdicts = set()
     for trial in range(600):
@@ -324,15 +328,17 @@ def test_validate_agrees_with_the_definition():
             rng.shuffle(rows[u])
         elif kind == 3 and rows[u]:
             rows[u].insert(0, rng.choice(rows[u]))
-        adj = tuple(map(tuple, rows))
-        valid = _valid_by_definition(g.n, adj)
-        verdicts.add(valid)
+        edges = [(u, v) for u, row in enumerate(rows) for v in row]
+        bad = any(not 0 <= v < g.n or v == u for u, v in edges)
+        verdicts.add(bad)
         try:
-            Graph(g.n, adj).validate()
+            h = Graph.from_edges(g.n, edges)
         except ValueError:
-            assert not valid, adj
+            assert bad, rows
         else:
-            assert valid, adj
+            assert not bad, rows
+            assert _valid_by_definition(h.n, h.adj)
+            assert list(h.edges()) == _pairs(edges)
     assert verdicts == {True, False}
 
 

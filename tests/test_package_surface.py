@@ -21,7 +21,7 @@ PACKAGE = ROOT / "src" / "romandom"
 
 # Kept with no caller in the program: the one public checker of the base
 # definition (every 0-vertex has a 2-neighbor), which the minimality
-# checkers refine; it shares ``rdf._census`` with ``minimality_report``.
+# checkers refine; it shares only ``rdf._scan`` with them.
 ALLOWED = {"is_rdf"}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")

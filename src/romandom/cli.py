@@ -96,13 +96,15 @@ def _run_enumeration(g: Graph, mode: str, order: str, emit,
         lambda f: emit(format_assignment(f) + "\n"))
     if mode == "oracle":
         start = time.perf_counter()
-        solutions = brute_minimal_rdfs(g, order=order)
-        # All 3^n assignments are examined before the first line.
-        stats.tree_nodes = stats.max_gap = 3 ** g.n
-        for f in solutions:
-            sink(f)
-            stats.solutions += 1
-        stats.wall_ms = int((time.perf_counter() - start) * 1000)
+        try:
+            solutions = brute_minimal_rdfs(g, order=order)
+            # All 3^n assignments are examined before the first line.
+            stats.tree_nodes = stats.max_gap = 3 ** g.n
+            for f in solutions:
+                sink(f)
+                stats.solutions += 1
+        finally:
+            stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return stats
     try:
         return enumerate_minimal_rdf_refined(g, sink, stats=stats)

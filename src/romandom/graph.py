@@ -46,8 +46,8 @@ class Graph:
     @cached_property
     def nbr(self) -> tuple[int, ...]:
         """The open neighborhood of every vertex as a bit set (bit u =
-        vertex u), for the searches and the oracle, read off rows that
-        :meth:`from_edges`, the only constructor, made valid."""
+        vertex u), for the subset walk and the refined search, read off
+        rows that :meth:`from_edges`, the only constructor, made valid."""
         return tuple(sum(1 << u for u in near) for near in self.adj)
 
     @cached_property
@@ -80,10 +80,11 @@ class Graph:
         except IndexError:
             raise ValueError(f"edge ({u},{v}) out of range for n={n}") from None
         # Only a repeated edge repeats a neighbor; with every edge given as
-        # (u, v), u < v, as edge lists are written, set(edges) shows it.
+        # (u, v), u < v, as edge lists are written, a set of them shows it
+        # (tuple() returns a tuple edge itself and makes a list edge one).
         if not ordered:
             edges = [(u, v) if u < v else (v, u) for u, v in edges]
-        if len(set(edges)) < len(edges):
+        if len(set(map(tuple, edges))) < len(edges):
             near = [list(set(s)) for s in near]
         for s in near:
             s.sort()

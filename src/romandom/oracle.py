@@ -1,12 +1,12 @@
 """Definition-based brute force over all 3^n assignments.
 
 This module is the ground truth for small instances, behind the CLI's
-oracle mode.  It deliberately uses nothing but the bare definitions: an
-assignment is kept iff it is an rdf and no other rdf lies below it in
-the chosen order.  It never calls the characterization-based checkers it
-is used to validate.  The brute-force extension answer built on it, with
-the two orders as pointwise comparisons, is a test reference in
-``tests/support.py``.
+oracle mode.  It uses nothing but the bare definitions, over assignment
+tuples and the neighborhoods of ``Graph.adj`` (no bit sets): an
+assignment is kept iff it is an rdf and no rdf lies below it in the
+chosen order.  It never calls the characterization-based checkers it is
+used to validate; ``tests/support.py`` builds the brute-force extension
+answer on it.
 """
 
 from __future__ import annotations
@@ -23,35 +23,6 @@ class OracleCapExceeded(ValueError):
     """Refusal to brute-force a graph larger than :data:`CAP`."""
 
 
-def _all_rdfs(g: Graph) -> list[tuple[Assignment, int, int]]:
-    # Returns (assignment, ones-bitmask, twos-bitmask) for every rdf.
-    nbr = g.nbr
-    out = []
-    for f in product((0, 1, 2), repeat=g.n):
-        ones = twos = 0
-        for v, x in enumerate(f):
-            if x == 1:
-                ones |= 1 << v
-            elif x == 2:
-                twos |= 1 << v
-        for v, x in enumerate(f):
-            if x == 0 and not (nbr[v] & twos):
-                break
-        else:
-            out.append((f, ones, twos))
-    return out
-
-
-def _covered(f: Assignment, ones: int, twos: int, standard: bool):
-    # The (ones, twos) masks of the assignments that f covers.
-    for v, x in enumerate(f):
-        bit = 1 << v
-        if x == 1:
-            yield ones ^ bit, twos
-        elif x == 2:
-            yield (ones | bit if standard else ones), twos ^ bit
-
-
 def brute_minimal_rdfs(g: Graph, order: str = "standard"
                        ) -> list[Assignment]:
     """All minimal rdfs of ``g`` in the given order, sorted as digit strings.
@@ -64,14 +35,26 @@ def brute_minimal_rdfs(g: Graph, order: str = "standard"
     if g.n > CAP:
         raise OracleCapExceeded(f"brute force refused: n={g.n} exceeds "
                                 f"cap={CAP} (3^n assignments)")
-    rdfs = _all_rdfs(g)
-    # Raising a value keeps every vertex dominated, so the rdfs are closed
-    # upwards in both orders, and f is minimal iff no assignment that f
-    # covers is an rdf.  f covers the assignments that lower one vertex:
-    # 2 -> 1 or 1 -> 0 in the standard order, 2 -> 0 or 1 -> 0 in "po".
-    masks = {(ones, twos) for _, ones, twos in rdfs}
-    standard = order == "standard"
-    # product() already yields assignments in ascending digit-string order.
-    return [f for f, ones, twos in rdfs
-            if not any(m in masks for m in _covered(f, ones, twos, standard))]
-
+    adj, rdfs = g.adj, set()
+    for f in product((0, 1, 2), repeat=g.n):
+        for v, x in enumerate(f):  # an rdf: each 0 has a neighbor valued 2
+            if not x:
+                for u in adj[v]:
+                    if f[u] == 2:
+                        break
+                else:
+                    break
+        else:
+            rdfs.add(f)
+    # Whatever lies above an rdf is an rdf, so f is minimal iff no
+    # assignment one step below it is: one vertex lowered 1 -> 0, or 2 -> 1
+    # in the standard order and 2 -> 0 in "po".
+    lower = (None, (0,), (1,) if order == "standard" else (0,))
+    minimal = []
+    for f in rdfs:
+        for v, x in enumerate(f):
+            if x and f[:v] + lower[x] + f[v + 1:] in rdfs:
+                break
+        else:
+            minimal.append(f)
+    return sorted(minimal)  # equal-length tuples sort as digit strings

@@ -9,11 +9,14 @@ against them:
   labeling of the refined search (see :mod:`romandom.grdf`);
 - :func:`check_phase_properties` checks the state conditions that hold
   once a branching priority of the refined search is exhausted;
-- :func:`two_set` lists the 2-valued vertices of an assignment.
+- :func:`two_set` lists the 2-valued vertices of an assignment;
+- :class:`InterruptingStdout` stands in for ``sys.stdout`` and raises
+  ``KeyboardInterrupt`` at a chosen line, as a Ctrl-C would.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Sequence
 
 from romandom.enum_refined import SearchState
@@ -119,3 +122,21 @@ def check_phase_properties(state: SearchState, phase: int) -> bool:
             near & masks[NOT_ONE] and not near & masks[2]
             for v, near in enumerate(nbr) if masks[NOT_TWO] >> v & 1)
     raise ValueError(f"unknown phase {phase}")
+
+
+class InterruptingStdout:
+    """A ``sys.stdout`` that counts the lines written to it, keeping none.
+
+    Each ``write`` is one line, as ``romandom enumerate`` writes them.
+    The write of line ``stop`` sleeps ``pause`` seconds and then raises
+    ``KeyboardInterrupt``, as a Ctrl-C during that write would.
+    """
+
+    def __init__(self, stop: int, pause: float = 0.0):
+        self.lines, self.stop, self.pause = 0, stop, pause
+
+    def write(self, text: str) -> None:
+        self.lines += 1
+        if self.lines == self.stop:
+            time.sleep(self.pause)
+            raise KeyboardInterrupt

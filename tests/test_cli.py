@@ -11,6 +11,7 @@ import romandom
 from romandom import (enumerate_minimal_rdf_simple, format_assignment,
                       gen_c5_copies, gen_cycle, gen_star, to_edge_list)
 from romandom.cli import build_parser, main
+from support import InterruptingStdout
 
 
 @pytest.fixture
@@ -254,6 +255,23 @@ def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
     assert stats["solutions"] < 16 ** 4
     assert stats["tree_nodes"] >= stats["solutions"]
     assert stats["max_gap"] >= 1
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined", "oracle"])
+def test_enumerate_interrupt_reports_wall_time(tmp_path, capsys, monkeypatch,
+                                               mode):
+    # Ctrl-C during the third line, 20 ms into its write: the partial
+    # counters still time the run.
+    path = tmp_path / "cycle7.edges"
+    path.write_text(to_edge_list(gen_cycle(7)))
+    monkeypatch.setattr(sys, "stdout", InterruptingStdout(3, pause=0.02))
+    assert main(["enumerate", str(path), "--mode", mode,
+                 "--stats", "json"]) == 130
+    stats_line, last = capsys.readouterr().err.splitlines()
+    assert last == "interrupted"
+    stats = json.loads(stats_line)
+    assert stats["solutions"] == 2
+    assert stats["wall_ms"] >= 20
 
 
 @pytest.mark.parametrize("argv", [

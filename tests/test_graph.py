@@ -225,6 +225,9 @@ def _check_tuples(g, edges):
 def test_from_edges_builds_strictly_increasing_tuples(n, edges):
     _check_tuples(Graph.from_edges(n, edges), edges)
     _check_tuples(Graph.from_edges(n, iter(edges)), edges)
+    # list-shaped edges, as given and each written low id first
+    for rows in ([list(e) for e in edges], [sorted(e) for e in edges]):
+        _check_tuples(Graph.from_edges(n, rows), edges)
     lines = "".join(f"{u} {v}\n" for u, v in edges)
     _check_tuples(parse_edge_list(f"{n} {len(edges)}\n{lines}"), edges)
 

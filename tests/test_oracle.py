@@ -1,7 +1,10 @@
+import hashlib
+
+import networkx as nx
 import pytest
 
 import romandom.oracle as oracle
-from romandom import brute_minimal_rdfs, gen_null, gen_star
+from romandom import Graph, brute_minimal_rdfs, gen_null, gen_star
 from romandom.oracle import CAP, OracleCapExceeded
 from romandom.rdf import format_assignment
 from support import brute_ext
@@ -46,10 +49,27 @@ def test_output_sorted(c5):
 def test_cap_refusal(monkeypatch):
     # the boundary at the real cap, without running the 3^12 assignments
     assert CAP == 12
-    monkeypatch.setattr(oracle, "_all_rdfs", lambda g: [])
+    monkeypatch.setattr(oracle, "product", lambda *args, **kwargs: ())
     assert brute_minimal_rdfs(gen_null(12)) == []
     with pytest.raises(OracleCapExceeded, match="n=13 exceeds cap=12"):
         brute_minimal_rdfs(gen_null(13))
+
+
+def test_atlas_digest_up_to_order_6():
+    # Pins the oracle's output, in both orders and its order, on all 209
+    # graphs of order <= 6 in the networkx atlas, disconnected ones and
+    # the empty graph included.
+    digest = hashlib.sha256()
+    for x in nx.graph_atlas_g():
+        if x.number_of_nodes() > 6:
+            continue
+        g = Graph.from_edges(x.number_of_nodes(), x.edges())
+        for order in ("standard", "po"):
+            line = ",".join(format_assignment(f)
+                            for f in brute_minimal_rdfs(g, order))
+            digest.update(f"{order}:{line};".encode())
+    assert digest.hexdigest() == (
+        "5e220336cfb794864f2670f8330e9b3fbf7f2e76fcc643c7ba460d56b58c5abb")
 
 
 def test_bad_order(p2):

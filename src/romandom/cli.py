@@ -10,9 +10,10 @@ enumeration command; it refuses a run that cannot go (refined with
 ``--order po``, the oracle above its cap) in one place,
 :func:`_check_mode`, before any output.  A refined search
 deeper than the recursion limit is a usage error: it exits 2 and suggests
-``--mode simple``.  An ``enumerate`` that runs out of memory exits 2 with
-a message too.  When the reader closes stdout early (``romandom
-enumerate g.edges | head``) any command stops quietly with exit code 0.
+``--mode simple``.  Running out of memory exits 2 with a message too (its
+own for loading a graph, for ``gen`` and for an ``enumerate`` run).  When
+the reader closes stdout early (``romandom enumerate g.edges | head``)
+any command stops quietly with exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
 subset walk hands over its output line as is, and the other modes format
@@ -20,8 +21,9 @@ theirs; ``--count-only`` formats none.  On a terminal
 stdout is line-buffered; on a pipe or file it goes out in blocks of about
 8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
 or at the end, on Ctrl-C, or when stdout closes: the delay stays
-polynomial.  It stores no solution; for sorted lines, pipe it through
-``LC_ALL=C sort``.
+polynomial.  It stores no solution, but for ``--mode oracle``, which sorts
+all of them before its first line; for sorted lines from the other
+modes, pipe them through ``LC_ALL=C sort``.
 
 :func:`main` may be called many times in one process; the parser is built
 on the first call and reused.
@@ -57,12 +59,13 @@ def _load_graph(path: str) -> Graph:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+        return parse_edge_list(text)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_edge_list(text)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise UsageError(f"{path}: out of memory loading the graph") from exc
 
 
 _MODES = ("simple", "refined", "oracle")
@@ -212,9 +215,13 @@ def _cmd_gen(args) -> int:
     try:
         values = [t(p) for t, p in zip(types, params)]
         g = gen(*values, args.seed) if gen is gen_random else gen(*values)
+        text = to_edge_list(g)
     except ValueError as exc:
         raise UsageError(f"bad parameters for {family}: {exc}") from exc
-    sys.stdout.write(to_edge_list(g))
+    except MemoryError as exc:
+        raise UsageError(f"{family} {' '.join(params)}: out of "
+                         "memory") from exc
+    sys.stdout.write(text)
     return 0
 
 
@@ -284,6 +291,9 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -45,44 +45,45 @@ labels: the labels with their class bit sets and ``once``/``twice``, kept
 in place and undone on backtracking (as in Knuth's "Dancing Links"), over
 the graph's own neighborhood bit sets :attr:`.graph.Graph.nbr`.  So each
 rule test, pend, branch pick, completeness check and privacy test is a few
-operations on Python ints, not a scan.  A 2 enters ``once``/``twice`` only
-through :meth:`SearchState.add_two`.
+operations on Python ints, not a scan, and a rule test returns its targets
+as a bit set.  A 2 enters ``once``/``twice`` only through
+:meth:`SearchState.add_two`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .graph import Graph
 from .grdf import ACTIVE, NOT_ONE, NOT_TWO
 from .rdf import Sink
 from .stats import EnumStats
 
-# A trace step is (rule, vertex, old_label, new_label).
-TraceStep = tuple[str, int, int, int]
-
-
-@dataclass
 class ReductionTrace:
-    """Record of one reduction fixpoint computation, for undoing it."""
+    """A reduction pass's steps (rule, vertex, old, new label), in order."""
 
-    steps: list[TraceStep] = field(default_factory=list)
+    __slots__ = ("steps",)
+
+    def __init__(self):
+        self.steps: list[tuple[str, int, int, int]] = []
 
 
 def undo(trace: ReductionTrace, state: SearchState) -> None:
-    """Reverse a recorded trace (mutates the state)."""
-    for _rule, v, old, _new in reversed(trace.steps):
-        state.relabel(v, old)
+    """Reverse a recorded trace, last step first (mutates the state)."""
+    labels, masks = state.labels, state.masks
+    for _rule, w, old, new in reversed(trace.steps):
+        masks[new] ^= 1 << w
+        masks[old] |= 1 << w
+        labels[w] = old
 
 
 class SearchState:
     """The search's one state: a labeling of a graph with its 2-domination.
 
     ``labels[v]`` is the label of v (see :mod:`.grdf`) and ``masks[x]`` the
-    vertices labeled x as a bit set; :meth:`relabel` keeps both, and is
-    the only path that changes a label (the branch, the reduction pass and
-    :func:`undo` all call it).  ``nbr`` and ``ball2`` are the graph's
+    vertices labeled x as a bit set.  Only the branch in ``_node``,
+    :func:`apply_reductions` and :func:`undo` change a label, and each
+    writes both in place.  ``nbr`` and ``ball2`` are the graph's
     :attr:`~.graph.Graph.nbr` and :attr:`~.graph.Graph.ball2`, shared, not
     copied.  ``once`` and ``twice`` are the vertices with at least one and
     at least two 2-vertices in their closed neighborhood; their readers
@@ -100,12 +101,6 @@ class SearchState:
             self.masks[x] |= 1 << v
             if x == 2:
                 self.add_two(v)
-
-    def relabel(self, v: int, new: int) -> None:
-        bit = 1 << v
-        self.masks[self.labels[v]] ^= bit
-        self.masks[new] |= bit
-        self.labels[v] = new
 
     def add_two(self, v: int) -> None:
         """Count the 2 at v in ``once`` and ``twice``."""
@@ -150,7 +145,13 @@ _ENABLED_AROUND = [[[_enabled_around(old, new, idle) for idle in (False, True)]
                     for new in range(ACTIVE + 1)] for old in range(ACTIVE + 1)]
 
 # Each rule test takes (labels, masks, nbr, c1 = once & ~twice, v) and
-# returns the relabels (w, new) it makes at v, empty if it does not apply.
+# returns the bit set of the vertices it relabels at v, 0 if it does not
+# apply.  A target labelled ``old`` goes to ``_NEW_LABEL[rule][old]``: the
+# rule's label if active, 1 for NPD's not-2 target, else 0.
+_NEW_LABEL = tuple(
+    tuple(label if old == ACTIVE else 1 if rule == _NPD else 0
+          for old in range(ACTIVE + 1))
+    for rule, label in enumerate((0, NOT_TWO, NOT_ONE, 1, NOT_TWO, 0)))
 
 
 def _lpn(labels, masks, nbr, c1, v):
@@ -159,9 +160,9 @@ def _lpn(labels, masks, nbr, c1, v):
     # neighbor.
     if labels[v] == 2:
         cand = nbr[v] & (masks[ACTIVE] | masks[NOT_TWO])
-        if cand and not cand & (cand - 1):
-            return ((cand.bit_length() - 1, 0),)
-    return ()
+        if not cand & (cand - 1):
+            return cand
+    return 0
 
 
 def _v0(labels, masks, nbr, c1, v):
@@ -171,31 +172,20 @@ def _v0(labels, masks, nbr, c1, v):
     # A blocker next to the 2-vertex u is dominated by u, so outside c1
     # it is dominated twice.
     if labels[v] != 0 or not c1 >> v & 1:
-        return ()
+        return 0
     near = nbr[v]
     if not near & (masks[ACTIVE] | masks[NOT_ONE]):
-        return ()
+        return 0
     u = (near & masks[2]).bit_length() - 1
     if nbr[u] & (masks[0] | masks[NOT_ONE] | masks[NOT_TWO]) & c1 & ~(1 << v):
-        return ()
-    return _lower_each(near & (masks[ACTIVE] | masks[NOT_ONE]), masks[ACTIVE],
-                       NOT_TWO)
+        return 0
+    return near & (masks[ACTIVE] | masks[NOT_ONE])
 
 
 def _v2(labels, masks, nbr, c1, v):
     # Neighbors of a 2-vertex can never be 1.
-    return _lower_each(nbr[v] & (masks[ACTIVE] | masks[NOT_TWO]),
-                       masks[ACTIVE], NOT_ONE) if labels[v] == 2 else ()
-
-
-def _lower_each(targets: int, active: int, new: int) -> list:
-    # Each target, lowest first, goes to ``new`` if active, else to 0.
-    changes = []
-    while targets:
-        low = targets & -targets
-        changes.append((low.bit_length() - 1, new if low & active else 0))
-        targets ^= low
-    return changes
+    return (nbr[v] & (masks[ACTIVE] | masks[NOT_TWO]) if labels[v] == 2
+            else 0)
 
 
 def _npd(labels, masks, nbr, c1, v):
@@ -203,8 +193,8 @@ def _npd(labels, masks, nbr, c1, v):
     # take the value 2 cannot become 0, so it must be 1.
     if labels[v] == NOT_TWO and not nbr[v] & (masks[2] | masks[NOT_ONE]
                                               | masks[ACTIVE]):
-        return ((v, 1),)
-    return ()
+        return 1 << v
+    return 0
 
 
 def _npn(labels, masks, nbr, c1, v):
@@ -212,8 +202,8 @@ def _npn(labels, masks, nbr, c1, v):
     # already dominated cannot usefully take the value 2.
     if labels[v] == ACTIVE and not nbr[v] & (masks[1] | masks[2]
                                              | masks[NOT_TWO] | masks[ACTIVE]):
-        return ((v, NOT_TWO),)
-    return ()
+        return 1 << v
+    return 0
 
 
 def _isolate(labels, masks, nbr, c1, v):
@@ -221,8 +211,8 @@ def _isolate(labels, masks, nbr, c1, v):
     # not-1 vertex with no not-2 neighbor has nothing left to dominate, so
     # it cannot be 2.
     if labels[v] == NOT_ONE and not nbr[v] & masks[NOT_TWO]:
-        return ((v, 0),)
-    return ()
+        return 1 << v
+    return 0
 
 
 _TESTS = (_lpn, _v0, _v2, _npd, _npn, _isolate)
@@ -261,13 +251,14 @@ def apply_reductions(state: SearchState,
 
     Each step applies the first rule, in the order LPN, V0, V2, NPD, NPN,
     Isolate, at the lowest vertex where it applies; any other order
-    would change the search tree (see the module docs).  A worklist
-    replays this order without rescanning: the pending (rule, vertex)
-    pairs, a superset of those where the rule applies, form one bit set
-    in scan order, and each step takes its lowest pair, dropping it if
-    the rule does not apply.  A relabel old -> new of w pends only what
-    the transition can newly satisfy, as in the module table; when the
-    last active vertex goes, Isolate is pended at every not-1 vertex.
+    would change the search tree (see the module docs).  A step relabels
+    the rule's targets, lowest first, in place, one trace step each.  A
+    worklist replays this order without rescanning: the pending (rule,
+    vertex) pairs, a superset of those where the rule applies, form one
+    bit set in scan order, and each step takes its lowest pair, dropping
+    it if the rule does not apply.  A relabel old -> new of w pends only
+    what the transition can newly satisfy, as in the module table; when
+    the last active vertex goes, Isolate is pended at every not-1 vertex.
 
     V0 and V2 need no neighbor pend.  Their targets, the neighbors that
     may still be 2 (V0) or 1 (V2), only shrink: a vertex enters
@@ -285,8 +276,8 @@ def apply_reductions(state: SearchState,
     relabel does; a set branch also pends LPN and V2 at b, and V0 (with
     a target) next to each 2-vertex u within distance 2 of b: b's 2
     takes a V0 blocker away only in N[b], and a blocker lies in N(u).
-    Otherwise every vertex is pended.  Returns the trace needed to undo
-    the relabelings.
+    Otherwise every vertex is pended.  Returns the trace that undoes the
+    relabelings, its steps (rule, vertex, old label, new label) in order.
     """
     labels, masks, nbr = state.labels, state.masks, state.nbr
     c1 = state.once & ~state.twice
@@ -315,14 +306,19 @@ def apply_reductions(state: SearchState,
         lowest = pending & -pending
         pending ^= lowest
         rule, v = divmod(lowest.bit_length() - 1, n)
-        changes = _TESTS[rule](labels, masks, nbr, c1, v)
-        if not changes:
+        targets = _TESTS[rule](labels, masks, nbr, c1, v)
+        if not targets:
             continue
-        name = _RULES[rule]
-        for w, new in changes:
+        name, new_label = _RULES[rule], _NEW_LABEL[rule]
+        while targets:
+            low = targets & -targets
+            targets ^= low
+            w = low.bit_length() - 1
             old = labels[w]
+            labels[w] = new = new_label[old]
             steps.append((name, w, old, new))
-            state.relabel(w, new)
+            masks[old] ^= low
+            masks[new] |= low
             pending = _pend_moved(pending, masks, nbr, c1, n, w, old, new)
     return trace
 
@@ -393,14 +389,15 @@ class RefinedEnumerator:
 
     def _node(self, last_priority: int) -> None:
         """Visit one search node, at a reduction fixpoint but for the root."""
-        self.stats.tree_nodes += 1
+        stats = self.stats
+        stats.tree_nodes += 1
         state = self.state
-        masks = state.masks
+        labels, masks = state.labels, state.masks
         if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
             # Every label is final: a leaf.
-            self.sink(tuple(state.labels))
-            self.stats.solutions += 1
-            self.stats.max_gap = max(self.stats.max_gap, self._gap)
+            self.sink(tuple(labels))
+            stats.solutions += 1
+            stats.max_gap = max(stats.max_gap, self._gap)
             self._gap = 0
             return
         self._gap += 1
@@ -408,18 +405,21 @@ class RefinedEnumerator:
         v, priority = pick_branch_vertex(state)
         if priority > last_priority:
             key = f"{last_priority}->{priority}"
-            self.stats.phase_transitions[key] = (
-                self.stats.phase_transitions.get(key, 0) + 1
+            stats.phase_transitions[key] = (
+                stats.phase_transitions.get(key, 0) + 1
             )
-        fires = self.stats.rule_fires
-        old = state.labels[v]
+        fires = stats.rule_fires
+        old = labels[v]
+        bit = 1 << v
         once, twice = state.once, state.twice
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
         seed = (v, old) if last_priority else None
         # v is active or not-1: set it to 2, then deny it the 2.
         for new in (2, NOT_TWO if old == ACTIVE else 0):
-            state.relabel(v, new)
+            masks[old] ^= bit
+            masks[new] |= bit
+            labels[v] = new
             if new == 2:
                 state.add_two(v)
             # A deny keeps the parent's 2-set and once/twice, which passed
@@ -433,8 +433,10 @@ class RefinedEnumerator:
                 self._node(priority)
                 undo(trace, state)
             else:
-                self.stats.prunes += 1
-            state.relabel(v, old)
+                stats.prunes += 1
+            masks[new] ^= bit
+            masks[old] |= bit
+            labels[v] = old
             state.once, state.twice = once, twice
 
     def _private_near(self, b: int) -> bool:

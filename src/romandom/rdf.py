@@ -54,6 +54,8 @@ def _scan(g: Graph, f: Assignment) -> tuple[bytearray, list[int]]:
             raise ValueError
     except (TypeError, ValueError):
         raise ValueError("assignment values must be 0, 1 or 2") from None
+    if 2 not in b:
+        return b, []
     # A 0 after each 2 makes the piece lengths add up to the 2s' ids (and
     # to n last); bytes pieces take one allocation each, bytearrays two.
     pieces = bytes(b).replace(b"\2", b"\2\0").split(b"\2")

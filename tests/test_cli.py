@@ -292,6 +292,11 @@ def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
     assert proc.stderr.strip().endswith(b"use --mode simple")
 
 
+def _exhausted(*args, **kwargs):
+    # a raise stands in for the allocation that fails; nothing is allocated
+    raise MemoryError
+
+
 @pytest.mark.parametrize("mode, engine", [
     ("simple", "enumerate_minimal_rdf_simple"),
     ("refined", "enumerate_minimal_rdf_refined"),
@@ -299,16 +304,38 @@ def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
 ])
 def test_enumerate_out_of_memory_exits_2(c5_file, capsys, monkeypatch, mode,
                                          engine):
-    # a raise stands in for the allocation that fails; nothing is allocated
-    def exhausted(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(f"romandom.cli.{engine}", exhausted)
+    monkeypatch.setattr(f"romandom.cli.{engine}", _exhausted)
     assert main(["enumerate", c5_file, "--mode", mode]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: {mode} enumeration on 5 vertices ran out of "
                    "memory\n")
+
+
+@pytest.mark.parametrize("command", ["enumerate", "extend", "check"])
+def test_loading_out_of_memory_exits_2(c5_file, capsys, monkeypatch,
+                                       command):
+    monkeypatch.setattr("romandom.cli.parse_edge_list", _exhausted)
+    argv = [command, c5_file] + (["00000"] if command != "enumerate" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {c5_file}: out of memory loading the graph\n")
+
+
+def test_gen_out_of_memory_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(romandom.cli.GENERATORS, "null", (_exhausted, (int,)))
+    assert main(["gen", "null", "60000000"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: null 60000000: out of memory\n")
+
+
+@pytest.mark.parametrize("command, solver", [("extend", "gen_ext_rd"),
+                                             ("check", "minimality_report")])
+def test_query_out_of_memory_exits_2(c5_file, capsys, monkeypatch, command,
+                                     solver):
+    monkeypatch.setattr(f"romandom.cli.{solver}", _exhausted)
+    assert main([command, c5_file, "20200"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_parser_reuse_leaks_nothing_between_calls(c5_file, p2_file, capsys):

@@ -458,7 +458,8 @@ def _scan_reductions(adj, labels, rules=_REF_RULES):
 
 def test_rule_bitsets_match_reference():
     # every bit-set rule, at every vertex of random labellings, makes the
-    # relabels of its list-based reference, in the same order
+    # relabels of its list-based reference, in the same order: its target
+    # set, lowest first, each with its new label from _NEW_LABEL
     rng = random.Random(41)
     fired = set()
     for _ in range(300):
@@ -471,12 +472,17 @@ def test_rule_bitsets_match_reference():
         assert [(state.once >> v & 1, state.twice >> v & 1, c1 >> v & 1)
                 for v in range(g.n)] == [(c >= 1, c >= 2, c == 1)
                                          for c in counts]
-        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS):
+        for rule, test, new_label in zip(enum_refined._RULES,
+                                         enum_refined._TESTS,
+                                         enum_refined._NEW_LABEL):
             ref = _REF_RULES[rule]
             for v in range(g.n):
-                got = test(labels, state.masks, state.nbr, c1, v)
+                targets = test(labels, state.masks, state.nbr, c1, v)
+                assert 0 <= targets < 1 << g.n, (rule, v, labels)
+                got = tuple((w, new_label[labels[w]]) for w in range(g.n)
+                            if targets >> w & 1)
                 expected = ref(g.adj, labels, counts, v)
-                assert tuple(got) == expected, (rule, v, labels)
+                assert got == expected, (rule, v, labels)
                 if expected:
                     fired.add(rule)
     assert fired == set(enum_refined._RULES)
@@ -580,21 +586,57 @@ def test_only_entered_children_are_reduced(monkeypatch, g):
     (gen_c5_copies(2), 2448), (gen_random(12, 0.3, 5), 2622),
     (gen_star(9), 258), (gen_null(4), 18),
 ], ids=["c5pow2", "random12", "star9", "null4"])
-def test_every_label_change_goes_through_relabel(monkeypatch, g, expected):
-    # each inner node sets and restores its vertex in both children (4
-    # calls), and each rule fire relabels once in its pass and once in undo
-    calls = []
-    relabel = SearchState.relabel
+def test_every_label_change_is_traced_and_undone(monkeypatch, g, expected):
+    # every pass starts from a consistent state (the branch wrote its
+    # vertex's label and class masks together), its trace replays from the
+    # labels it started at to those it left, and its undo restores the
+    # labels, class masks, once and twice it started at; the run ends at
+    # the all-active root.  Each inner node sets and restores its vertex
+    # in both children (4 label changes), and each rule fire changes one
+    # label in its pass and one in undo.
+    def snapshot(state):
+        return (list(state.labels), list(state.masks), state.once,
+                state.twice)
 
-    def counting(self, v, new):
-        calls.append(v)
-        relabel(self, v, new)
+    def rebuilt(labels):
+        return snapshot(SearchState(g, list(labels)))
 
-    monkeypatch.setattr(SearchState, "relabel", counting)
-    stats = enumerate_minimal_rdf_refined(g, lambda f: None)
+    open_passes = []
+    traced = undone = 0
+
+    def reducing(state, branch):
+        nonlocal traced
+        pre = snapshot(state)
+        assert pre == rebuilt(pre[0])
+        trace = apply_reductions(state, branch)
+        labels = list(pre[0])
+        for _rule, w, old, new in trace.steps:
+            assert labels[w] == old != new
+            labels[w] = new
+        assert labels == state.labels
+        assert snapshot(state) == rebuilt(labels)[:2] + pre[2:]
+        traced += len(trace.steps)
+        open_passes.append((trace, pre))
+        return trace
+
+    def undoing(trace, state):
+        nonlocal undone
+        last, pre = open_passes.pop()
+        assert last is trace
+        undo(trace, state)
+        assert snapshot(state) == pre
+        undone += len(trace.steps)
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", reducing)
+    monkeypatch.setattr(enum_refined, "undo", undoing)
+    search = RefinedEnumerator(g, lambda f: None)
+    stats = search.run()
+    assert not open_passes
+    assert snapshot(search.state) == rebuilt([ACTIVE] * g.n)
+    fires = sum(stats.rule_fires.values())
+    assert traced == undone == fires
     inner = stats.tree_nodes - stats.solutions
-    assert len(calls) == 4 * inner + 2 * sum(stats.rule_fires.values())
-    assert len(calls) == expected
+    assert 4 * inner + 2 * fires == expected
 
 
 def test_rule_fires_same_with_assertions():

@@ -1,12 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from romandom import (ExtensionInstance, Graph, ext_po_rd, ext_rd,
-                      gen_cycle, gen_ext_po_rd, gen_ext_rd, gen_null,
-                      gen_random, is_minimal_rdf, is_po_minimal_rdf, is_rdf,
-                      project_grdf)
+                      format_assignment, gen_cycle, gen_ext_po_rd,
+                      gen_ext_rd, gen_null, gen_random, is_minimal_rdf,
+                      is_po_minimal_rdf, is_rdf, project_grdf)
 from romandom import rdf
 from romandom.enum_refined import SearchState
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO
@@ -368,3 +369,39 @@ def test_large_sparse_witnesses_are_minimal():
                     found += 1
                     assert leq(f, witness) and check(g, witness)
     assert found >= 8
+
+
+def test_witnesses_digest():
+    # pins every witness of the four solvers on a seeded instance set:
+    # small G(n, p) with 0s only, 0s and 1s, 0s and 2s or all three
+    # values, forbidden sets, and a planted graph of order 2000; the
+    # answers include YES and NO for each solver
+    rng = random.Random(3101)
+    cases = []
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        g = gen_random(n, rng.choice((0.05, 0.15, 0.3)), rng.randrange(10**6))
+        weights = rng.choice(((1, 0, 0), (3, 1, 0), (3, 0, 1), (4, 1, 1),
+                              (2, 1, 4)))
+        cases.append((g, tuple(rng.choices((0, 1, 2), weights, k=n))))
+    g, centres = _planted(2000, 7)
+    twos = [0] * g.n
+    for c in centres:
+        twos[c] = 2
+    cases += [(g, (0,) * g.n), (g, tuple(twos)), (g, ext_rd(g, tuple(twos)))]
+    digest = hashlib.sha256()
+    answers = {solver: set() for solver in ("ext", "po", "gen", "gen_po")}
+    for g, f in cases:
+        pool = [v for v in range(g.n) if f[v] != 2]
+        forbidden = frozenset(rng.sample(pool, rng.randint(0, len(pool) // 2)))
+        inst = ExtensionInstance(g, f, forbidden)
+        got = {"ext": ext_rd(g, f), "po": ext_po_rd(g, f),
+               "gen": gen_ext_rd(inst), "gen_po": gen_ext_po_rd(inst)}
+        for solver, witness in got.items():
+            answers[solver].add(witness is not None)
+        digest.update(",".join("NO" if w is None else format_assignment(w)
+                               for w in got.values()).encode() + b";")
+    assert all(seen == {True, False} for seen in answers.values())
+    # recorded before rdf._scan returned early on an f with no 2
+    assert digest.hexdigest() == (
+        "fb49054aab1011c591415380db7240dec1b832f0099e2a53f63ea665ab0f0ce4")

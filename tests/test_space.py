@@ -6,7 +6,9 @@ exceed the peak for K = 500 by at most 4 KiB: an engine that kept its
 solutions, or anything per solution, would add far more.  The library
 runs stop at a sink that raises; the CLI run stops at a stdout that
 counts lines without keeping them and raises ``KeyboardInterrupt``, as
-a Ctrl-C would.
+a Ctrl-C would.  ``enumerate --mode oracle`` is the one exception, and
+is not gated: the oracle builds the sorted list of every solution before
+its first line.
 """
 
 import sys

@@ -21,9 +21,8 @@ theirs; ``--count-only`` formats none.  On a terminal
 stdout is line-buffered; on a pipe or file it goes out in blocks of about
 8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
 or at the end, on Ctrl-C, or when stdout closes: the delay stays
-polynomial.  It stores no solution, but for ``--mode oracle``, which sorts
-all of them before its first line; for sorted lines from the other
-modes, pipe them through ``LC_ALL=C sort``.
+polynomial.  It stores no solution in any mode; for sorted lines from
+the simple or refined modes, pipe them through ``LC_ALL=C sort``.
 
 :func:`main` may be called many times in one process; the parser is built
 on the first call and reused.
@@ -47,7 +46,7 @@ from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
 from .extension import ExtensionInstance
 from .graph import Graph
 from .oracle import CAP
-from .rdf import minimality_report
+from .rdf import Assignment, minimality_report
 from .stats import EnumStats
 
 
@@ -98,12 +97,10 @@ def _run_enumeration(g: Graph, mode: str, order: str, emit,
     sink = _discard if emit is None else (
         lambda f: emit(format_assignment(f) + "\n"))
     if mode == "oracle":
+        stats.tree_nodes = stats.max_gap = 3 ** g.n
         start = time.perf_counter()
         try:
-            solutions = brute_minimal_rdfs(g, order=order)
-            # All 3^n assignments are examined before the first line.
-            stats.tree_nodes = stats.max_gap = 3 ** g.n
-            for f in solutions:
+            for f in brute_minimal_rdfs(g, order=order):
                 sink(f)
                 stats.solutions += 1
         finally:
@@ -164,10 +161,15 @@ def _parse_forbidden(spec: str | None) -> frozenset[int]:
         raise UsageError(f"bad forbidden list {spec!r}") from exc
 
 
+def _read_assignment(spec: str, n: int) -> Assignment:
+    # "-" reads it from stdin: argv caps one string at 128 KiB on Linux.
+    return parse_assignment(sys.stdin.read() if spec == "-" else spec, n)
+
+
 def _cmd_extend(args) -> int:
     g = _load_graph(args.graph)
     try:
-        f = parse_assignment(args.assignment, g.n)
+        f = _read_assignment(args.assignment, g.n)
         inst = ExtensionInstance(g, f, _parse_forbidden(args.forbidden))
         witness = (gen_ext_po_rd if args.order == "po" else gen_ext_rd)(inst)
     except ValueError as exc:
@@ -182,7 +184,7 @@ def _cmd_extend(args) -> int:
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     try:
-        f = parse_assignment(args.assignment, g.n)
+        f = _read_assignment(args.assignment, g.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     failed = minimality_report(g, f, order=args.order)
@@ -251,14 +253,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="extension query with witness")
     p.add_argument("graph")
-    p.add_argument("assignment", help="digit string over {0,1,2}")
+    p.add_argument("assignment",
+                   help="digit string over {0,1,2}; - reads it from stdin")
     p.add_argument("--forbidden", help="comma-separated ids barred from value 2")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.set_defaults(func=_cmd_extend)
 
     p = sub.add_parser("check", help="report which minimality conditions fail")
     p.add_argument("graph")
-    p.add_argument("assignment")
+    p.add_argument("assignment", help="as for extend")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.set_defaults(func=_cmd_check)
 

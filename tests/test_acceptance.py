@@ -56,7 +56,7 @@ def test_criterion_1_exact_counts():
         ok &= stats.wall_ms < 60_000
         if c <= 2:
             start = time.perf_counter()
-            counts["oracle"] = len(brute_minimal_rdfs(g))
+            counts["oracle"] = len(list(brute_minimal_rdfs(g)))
             ok &= time.perf_counter() - start < 60
         ok &= all(got == expected for got in counts.values())
         details.append(f"c={c}: {counts} vs {expected}")
@@ -91,7 +91,7 @@ def test_criterion_3_oracle_equivalence(catalog6):
     graphs = 0
     for label, g in _instances_for_criterion_3(catalog6):
         graphs += 1
-        expected = brute_minimal_rdfs(g)
+        expected = list(brute_minimal_rdfs(g))
         simple_out, _ = _run(enumerate_minimal_rdf_simple, g,
                               f"{label}-simple")
         refined_out, _ = _run(enumerate_minimal_rdf_refined, g, label)
@@ -134,8 +134,8 @@ def test_criterion_4_extension_correctness(catalog5):
     mismatches = 0
     cases = 0
     for g in catalog5:
-        std = brute_minimal_rdfs(g)
-        po = brute_minimal_rdfs(g, order="po")
+        std = list(brute_minimal_rdfs(g))
+        po = list(brute_minimal_rdfs(g, order="po"))
         for f in itertools.product((0, 1, 2), repeat=g.n):
             cases += 1
             mismatches += _extension_case(g, f, frozenset(), std, po)
@@ -143,8 +143,8 @@ def test_criterion_4_extension_correctness(catalog5):
     sampled = 0
     while sampled < 1000:
         g = gen_random(6 + sampled % 3, 0.3, rng.randrange(10**6))
-        std = brute_minimal_rdfs(g)
-        po = brute_minimal_rdfs(g, order="po")
+        std = list(brute_minimal_rdfs(g))
+        po = list(brute_minimal_rdfs(g, order="po"))
         for _ in range(25):
             f = tuple(rng.choice((0, 0, 1, 2)) for _ in range(g.n))
             pool = [v for v in range(g.n) if f[v] != 2]

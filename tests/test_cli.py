@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import signal
@@ -9,7 +10,8 @@ import pytest
 
 import romandom
 from romandom import (enumerate_minimal_rdf_simple, format_assignment,
-                      gen_c5_copies, gen_cycle, gen_star, to_edge_list)
+                      gen_c5_copies, gen_cycle, gen_null, gen_star,
+                      to_edge_list)
 from romandom.cli import build_parser, main
 from support import InterruptingStdout
 
@@ -143,7 +145,7 @@ def test_enumerate_stats_json_keys_per_mode(c5_file, capsys, mode, order):
     assert set(stats) == expected
     assert stats["solutions"] == int(out) > 0 and stats["tree_nodes"] > 0
     if mode == "oracle":
-        # all 3^5 assignments come before the first line
+        # the 3^5 assignments the oracle examines
         assert stats["tree_nodes"] == stats["max_gap"] == 243
 
 
@@ -474,6 +476,33 @@ def test_check_failures(p2_file, capsys):
     assert "privacy condition" in out
     assert main(["check", p2_file, "12"]) == 1
     assert "N[V2]" in capsys.readouterr().out
+
+
+def test_extend_and_check_read_the_assignment_from_stdin(tmp_path):
+    # 140,000 digits: more than Linux lets one argv string hold (128 KiB)
+    n = 140_000
+    path = tmp_path / "null.edges"
+    path.write_text(to_edge_list(gen_null(n)))
+
+    def run(command, digits):
+        proc = subprocess.run(
+            [sys.executable, "-m", "romandom.cli", command, str(path), "-"],
+            input=digits, capture_output=True, env=_cli_env(), timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert run("check", b"1" * n) == (
+        0, b"minimal: all conditions pass\n", b"")
+    assert run("extend", b"0" * n + b"\n") == (
+        0, b"YES " + b"1" * n + b"\n", b"")
+
+
+@pytest.mark.parametrize("command", ["extend", "check"])
+def test_empty_stdin_assignment_exits_2(c5_file, capsys, monkeypatch,
+                                        command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main([command, c5_file, "-"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: assignment length 0 != graph order 5\n")
 
 
 def test_gen_c5pow(capsys):

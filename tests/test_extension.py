@@ -156,8 +156,8 @@ def _check_po(g, f, forbidden, minimal):
 
 def test_solvers_agree_with_oracle_exhaustive(catalog5):
     for g in catalog5:
-        std = brute_minimal_rdfs(g)
-        po = brute_minimal_rdfs(g, order="po")
+        std = list(brute_minimal_rdfs(g))
+        po = list(brute_minimal_rdfs(g, order="po"))
         for f in itertools.product((0, 1, 2), repeat=g.n):
             _check_standard(g, f, frozenset(), std)
             _check_po(g, f, frozenset(), po)
@@ -167,8 +167,8 @@ def test_solvers_agree_with_oracle_sampled_forbidden():
     rng = random.Random(23)
     for trial in range(30):
         g = gen_random(6 + trial % 3, 0.3, rng.randrange(10**6))
-        std = brute_minimal_rdfs(g)
-        po = brute_minimal_rdfs(g, order="po")
+        std = list(brute_minimal_rdfs(g))
+        po = list(brute_minimal_rdfs(g, order="po"))
         for _ in range(20):
             f = tuple(rng.choice((0, 0, 1, 2)) for _ in range(g.n))
             pool = [v for v in range(g.n) if f[v] != 2]

@@ -3,7 +3,8 @@
 A minimal rdf of a disjoint union is a pair of minimal rdfs of its parts,
 so counts multiply; an isolated vertex must be 1 in a minimal rdf but may
 be 1 or 2 in a PO-minimal one; and the solutions do not depend on the
-vertex ids.
+vertex ids.  Past the cap too, the counts on paths and cycles are pinned
+and follow one linear recurrence.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from romandom import (Graph, enumerate_minimal_rdf_refined,
                       enumerate_minimal_rdf_simple, enumerate_po_minimal_simple,
-                      gen_disjoint_union, gen_null, gen_random)
+                      gen_cycle, gen_disjoint_union, gen_null, gen_random)
 
 ENUMERATORS = {
     "refined": enumerate_minimal_rdf_refined,
@@ -60,3 +61,34 @@ def test_relabelling_permutes_refined_solutions():
         expected.add(tuple(image))
     assert len(moved_out) == len(set(moved_out)) == len(out)
     assert set(moved_out) == expected
+
+
+# The number of minimal rdfs of the path P_n, n = 1..20, and of the cycle
+# C_n, n = 3..20.
+PATH_COUNTS = {n: a for n, a in enumerate((
+    1, 3, 4, 7, 12, 20, 34, 57, 96, 162, 273, 460, 775, 1306, 2201, 3709,
+    6250, 10532, 17748, 29908), start=1)}
+CYCLE_COUNTS = {n: a for n, a in enumerate((
+    4, 9, 16, 22, 36, 65, 112, 186, 309, 522, 885, 1492, 2509, 4225, 7124,
+    12010, 20236, 34094), start=3)}
+
+
+def _path(n):
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+@pytest.mark.parametrize("name, top", [("sweep", 20), ("refined", 16)])
+def test_path_and_cycle_counts(name, top):
+    # refined takes about ten times the walk's time: it stops at n = 16
+    for n in range(1, top + 1):
+        assert _count(name, _path(n)) == PATH_COUNTS[n], n
+    for n in range(3, top + 1):
+        assert _count(name, gen_cycle(n)) == CYCLE_COUNTS[n], n
+
+
+@pytest.mark.parametrize("counts", [PATH_COUNTS, CYCLE_COUNTS],
+                         ids=["path", "cycle"])
+def test_path_and_cycle_counts_recurrence(counts):
+    for n in range(8, max(counts) + 1):
+        assert counts[n] == (counts[n - 1] + counts[n - 3] + counts[n - 4]
+                             + counts[n - 5]), n

@@ -19,7 +19,7 @@ def test_p2_standard(p2):
 
 
 def test_c5_count(c5):
-    assert len(brute_minimal_rdfs(c5)) == 16
+    assert len(list(brute_minimal_rdfs(c5))) == 16
 
 
 def test_k1_standard():
@@ -32,12 +32,13 @@ def test_null2_po():
 
 def test_null_po_counts():
     for n in range(1, 6):
-        assert len(brute_minimal_rdfs(gen_null(n), order="po")) == 2 ** n
+        assert len(list(brute_minimal_rdfs(gen_null(n), order="po"))) == 2 ** n
 
 
 def test_star_po_counts():
     for n in range(2, 7):
-        assert len(brute_minimal_rdfs(gen_star(n), order="po")) == 2 ** n + 1
+        assert (len(list(brute_minimal_rdfs(gen_star(n), order="po")))
+                == 2 ** n + 1)
 
 
 def test_output_sorted(c5):
@@ -50,7 +51,7 @@ def test_cap_refusal(monkeypatch):
     # the boundary at the real cap, without running the 3^12 assignments
     assert CAP == 12
     monkeypatch.setattr(oracle, "product", lambda *args, **kwargs: ())
-    assert brute_minimal_rdfs(gen_null(12)) == []
+    assert list(brute_minimal_rdfs(gen_null(12))) == []
     with pytest.raises(OracleCapExceeded, match="n=13 exceeds cap=12"):
         brute_minimal_rdfs(gen_null(13))
 
@@ -85,6 +86,6 @@ def test_brute_ext_examples(p2):
 
 
 def test_brute_ext_precomputed_list(p2):
-    minimal = brute_minimal_rdfs(p2)
+    minimal = list(brute_minimal_rdfs(p2))
     assert brute_ext(p2, (2, 0), minimal=minimal)
     assert not brute_ext(p2, (2, 0), forbidden={0}, minimal=minimal)

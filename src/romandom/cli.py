@@ -8,12 +8,11 @@ minimal, 2 for usage errors, 130 when interrupted (Ctrl-C prints
 prints the counters gathered so far first).  ``enumerate`` is the one
 enumeration command; it refuses a run that cannot go (refined with
 ``--order po``, the oracle above its cap) in one place,
-:func:`_check_mode`, before any output.  A refined search
-deeper than the recursion limit is a usage error: it exits 2 and suggests
-``--mode simple``.  Running out of memory exits 2 with a message too (its
-own for loading a graph, for ``gen`` and for an ``enumerate`` run).  When
-the reader closes stdout early (``romandom enumerate g.edges | head``)
-any command stops quietly with exit code 0.
+:func:`_check_mode`, before any output.  Running out of memory
+exits 2 with a message too (its own for loading a graph, for ``gen`` and
+for an ``enumerate`` run).  When the reader closes stdout early
+(``romandom enumerate g.edges | head``) any command stops quietly with
+exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
 subset walk hands over its output line as is, and the other modes format
@@ -106,12 +105,7 @@ def _run_enumeration(g: Graph, mode: str, order: str, emit,
         finally:
             stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return stats
-    try:
-        return enumerate_minimal_rdf_refined(g, sink, stats=stats)
-    except RecursionError as exc:
-        # The refined search recurses once per tree level.
-        raise UsageError(f"refined search on {g.n} vertices is deeper than "
-                         "the recursion limit; use --mode simple") from exc
+    return enumerate_minimal_rdf_refined(g, sink, stats=stats)
 
 
 # The counters only the refined search fills; ``--stats json`` prints them

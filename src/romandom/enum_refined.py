@@ -6,7 +6,9 @@ an exhaustive reduction pass, and prunes any branch whose state the
 extension test proves dead, before reducing it.  This delivers every
 minimal rdf exactly once, with polynomial delay (at most 2n inner nodes
 between outputs) and polynomial space: label changes are undone on
-backtracking, and no solution is ever stored.
+backtracking, no solution is ever stored, and the open nodes wait as at
+most n suspended generators on a list, not on the Python stack: a branch
+leaves its vertex at 2, not-2 or 0, and none of these is branched on again.
 
 The reduction pass applies, at each step, the first rule in a fixed order
 at the lowest vertex where it applies.  The fixpoint depends on that
@@ -81,7 +83,7 @@ class SearchState:
     """The search's one state: a labeling of a graph with its 2-domination.
 
     ``labels[v]`` is the label of v (see :mod:`.grdf`) and ``masks[x]`` the
-    vertices labeled x as a bit set.  Only the branch in ``_node``,
+    vertices labeled x as a bit set.  Only the branch in ``_branch``,
     :func:`apply_reductions` and :func:`undo` change a label, and each
     writes both in place.  ``nbr`` and ``ball2`` are the graph's
     :attr:`~.graph.Graph.nbr` and :attr:`~.graph.Graph.ball2`, shared, not
@@ -361,9 +363,9 @@ class RefinedEnumerator:
     The search itself asserts nothing: the tests check every entered child
     (invariants, rebuilt state, falling measure, a solver witness), every
     pruned child (no witness after a full pass on a copy) and the phase
-    properties by wrapping :func:`apply_reductions`, :meth:`_private_near`
-    and :meth:`_node`; the invariant and phase checks they call live in
-    ``tests/support.py``.
+    properties by wrapping :func:`apply_reductions`, :meth:`_private_near`,
+    :meth:`_node` and :meth:`_branch`; the invariant and phase checks they
+    call live in ``tests/support.py``.
     """
 
     def __init__(self, g: Graph, sink: Sink, *,
@@ -387,8 +389,11 @@ class RefinedEnumerator:
             self.stats.wall_ms = int((time.perf_counter() - start) * 1000)
         return self.stats
 
-    def _node(self, last_priority: int) -> None:
-        """Visit one search node, at a reduction fixpoint but for the root."""
+    def _node(self, last_priority: int):
+        """Visit one search node, at a reduction fixpoint but for the root:
+        a leaf goes to the sink, an inner node returns its unstarted
+        :meth:`_branch`, and the root's call runs the search on ``path``:
+        the open nodes' branches, one per vertex branched on, so at most n."""
         stats = self.stats
         stats.tree_nodes += 1
         state = self.state
@@ -408,13 +413,29 @@ class RefinedEnumerator:
             stats.phase_transitions[key] = (
                 stats.phase_transitions.get(key, 0) + 1
             )
+        if last_priority:
+            return self._branch(v, priority, (v, labels[v]))
+        # The all-active root is no fixpoint if some vertex is isolated, so
+        # its children pend every vertex.
+        path = [self._branch(v, priority, None)]
+        while path:
+            below = next(path[-1], None)
+            if below is None:
+                path.pop()
+            else:
+                path.append(below)
+
+    def _branch(self, v: int, priority: int, seed: tuple[int, int] | None):
+        """Enter the children of the node that branches on v (active or
+        not-1), with v at 2, then at not-2 or 0; yield each inner child's
+        branch, and go on once the caller has exhausted it, so this
+        generator ends with the node's subtree."""
+        stats, state = self.stats, self.state
+        labels, masks = state.labels, state.masks
         fires = stats.rule_fires
         old = labels[v]
         bit = 1 << v
         once, twice = state.once, state.twice
-        # The all-active root is no fixpoint if some vertex is isolated, so
-        # its children pend every vertex.
-        seed = (v, old) if last_priority else None
         # v is active or not-1: set it to 2, then deny it the 2.
         for new in (2, NOT_TWO if old == ACTIVE else 0):
             masks[old] ^= bit
@@ -430,7 +451,9 @@ class RefinedEnumerator:
                 trace = apply_reductions(state, seed)
                 for step in trace.steps:
                     fires[step[0]] = fires.get(step[0], 0) + 1
-                self._node(priority)
+                below = self._node(priority)
+                if below is not None:
+                    yield below
                 undo(trace, state)
             else:
                 stats.prunes += 1

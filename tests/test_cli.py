@@ -276,22 +276,21 @@ def test_enumerate_interrupt_reports_wall_time(tmp_path, capsys, monkeypatch,
     assert stats["wall_ms"] >= 20
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "{path}", "--mode", "refined"],
-])
-def test_refined_deeper_than_recursion_limit_exits_2(tmp_path, argv):
+def test_refined_runs_past_the_recursion_limit(tmp_path):
+    # the refined search keeps its open nodes off the Python stack, so a
+    # tree 401 levels deep runs under a recursion limit of 300
     path = tmp_path / "star400.edges"
     path.write_text(to_edge_list(gen_star(400)))
     code = ("import sys; sys.setrecursionlimit(300); "
             "from romandom.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
-        [sys.executable, "-c", code,
-         *[arg.format(path=path) for arg in argv]],
+        [sys.executable, "-c", code, "enumerate", str(path), "--mode",
+         "refined", "--stats", "json"],
         capture_output=True, env=_cli_env(), timeout=60)
-    assert proc.returncode == 2
+    assert proc.returncode == 0, proc.stderr
     assert b"Traceback" not in proc.stderr, proc.stderr
-    assert proc.stderr.startswith(b"error: refined search on 401 vertices")
-    assert proc.stderr.strip().endswith(b"use --mode simple")
+    assert len(proc.stdout.splitlines()) == 402
+    assert json.loads(proc.stderr)["tree_nodes"] == 803
 
 
 def _exhausted(*args, **kwargs):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import Counter
 
@@ -138,10 +139,10 @@ def _run(g, **kwargs):
     return out, stats
 
 
-def _checked_run(g):
+def _checked_run(g, leaf_ratios=None):
     """A refined run of g under the checks the search does not make itself.
 
-    Wraps three parts of the search:
+    Wraps four parts of the search:
 
     - ``apply_reductions``: after each pass, in a child the search enters,
       the invariants I1-I4 hold, the state equals the one rebuilt from its
@@ -149,19 +150,24 @@ def _checked_run(g):
       witness;
     - ``RefinedEnumerator._private_near``: a set child it prunes has no
       witness once a copy of it is reduced from every vertex;
-    - ``RefinedEnumerator._node``: it keeps the measure stack, checks the
-      phase properties of each priority the search moves past, and gates
-      tau = sum over the entered children of 1.9332^-(mu(node) - mu(child))
-      at <= 1 + 1e-9 at nodes of priority 1 and 2, the branchings the
-      O(1.9332^n) analysis bounds this way.  At priority 3 it only
-      records tau.
+    - ``RefinedEnumerator._node``: it checks the phase properties of each
+      priority the search moves past;
+    - ``RefinedEnumerator._branch``: it keeps the measure stack, from the
+      branch's first step to its exhaustion, the end of the node's
+      subtree.  There it gates tau = sum over the entered children of
+      1.9332^-(mu(node) - mu(child)) at <= 1 + 1e-9 at nodes of priority
+      1 and 2, the branchings the O(1.9332^n) analysis bounds this way (at
+      priority 3 it only records tau), and the leaves below the node at
+      <= 1.9332^mu(node) + 1e-9 at every priority.
 
     Returns the stream, the stats and the tau of every inner node, listed
-    per priority.
+    per priority.  A dict passed as ``leaf_ratios`` receives, per priority,
+    each inner node's leaves / 1.9332^mu(node).
     """
     reduce = enum_refined.apply_reductions
     private_near = RefinedEnumerator._private_near
     node = RefinedEnumerator._node
+    branch = RefinedEnumerator._branch
     frames = []  # per open node: its measure, its entered children's
     taus = {1: [], 2: [], 3: []}
 
@@ -194,19 +200,29 @@ def _checked_run(g):
         for done in range(max(last_priority, 1), priority):
             assert check_phase_properties(self.state, done), (
                 f"phase {done} properties violated")
+        return node(self, last_priority)
+
+    def checked_branch(self, v, priority, seed):
         frames.append((measure(self.state), []))
-        node(self, last_priority)
+        before = self.stats.solutions
+        yield from branch(self, v, priority, seed)
         mu, children = frames.pop()
-        if priority:
-            tau = sum(1.9332 ** (child - mu) for child in children)
-            assert priority == 3 or tau <= 1 + 1e-9, (
-                f"tau {tau} at priority {priority}")
-            taus[priority].append(tau)
+        tau = sum(1.9332 ** (child - mu) for child in children)
+        assert priority == 3 or tau <= 1 + 1e-9, (
+            f"tau {tau} at priority {priority}")
+        taus[priority].append(tau)
+        leaves = self.stats.solutions - before
+        assert leaves <= 1.9332 ** mu + 1e-9, (
+            f"{leaves} leaves below a node of measure {mu}")
+        if leaf_ratios is not None:
+            leaf_ratios.setdefault(priority, []).append(leaves
+                                                        / 1.9332 ** mu)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enum_refined, "apply_reductions", checked_reduce)
         mp.setattr(RefinedEnumerator, "_private_near", checked_private_near)
         mp.setattr(RefinedEnumerator, "_node", checked_node)
+        mp.setattr(RefinedEnumerator, "_branch", checked_branch)
         out, stats = _run(g)
     return out, stats, taus
 
@@ -659,8 +675,9 @@ def test_tau_at_most_one_at_priorities_1_and_2(catalog7):
     graphs += [gen_random(rng.randint(8, 14), rng.choice((0.15, 0.25, 0.4)),
                           rng.randrange(10**6)) for _ in range(20)]
     taus = {1: [], 2: [], 3: []}
+    leaf_ratios = {}
     for g in graphs:
-        out, stats, tau = _checked_run(g)
+        out, stats, tau = _checked_run(g, leaf_ratios)
         walk = []
         enumerate_minimal_rdf_simple(g, walk.append)
         assert sorted(out) == sorted(walk)
@@ -678,6 +695,29 @@ def test_tau_at_most_one_at_priorities_1_and_2(catalog7):
     over = [tau for tau in taus[3] if tau > 1]
     assert (len(taus[3]), len(over)) == (11036, 13)
     assert max(over) == pytest.approx(1.03235, abs=1e-5)
+    # the harness gated leaves <= 1.9332^mu at every inner node, so the
+    # O(1.9332^n) count holds node by node with constant 1, also where
+    # tau > 1 at priority 3
+    worst = {p: max(ratios) for p, ratios in leaf_ratios.items()}
+    assert worst == pytest.approx({1: 0.66893, 2: 0.83331, 3: 0.99999},
+                                  abs=1e-5)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_refined_stack_depth_does_not_grow_with_the_tree():
+    # the open nodes wait on a list, not on the Python stack: a deep star
+    # and a shallow cycle reach the sink at one stack depth
+    depths = set()
+    for g in (gen_star(10), gen_star(200), gen_cycle(8), gen_cycle(16),
+              gen_random(16, 0.2, 3)):
+        enumerate_minimal_rdf_refined(g, lambda f: depths.add(_stack_depth()))
+    assert len(depths) == 1
 
 
 def test_tau_above_one_at_priority_3():

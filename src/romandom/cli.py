@@ -15,12 +15,12 @@ for an ``enumerate`` run).  When the reader closes stdout early
 exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
-subset walk hands over its output line as is, and the other modes format
-theirs; ``--count-only`` formats none.  On a terminal
-stdout is line-buffered; on a pipe or file it goes out in blocks of about
-8 KiB, so a reader gets a line at most about 8192/(n+1) solutions later,
-or at the end, on Ctrl-C, or when stdout closes: the delay stays
-polynomial.  It stores no solution in any mode; for sorted lines from
+subset walk and the refined search hand over their output lines as is,
+and only the oracle formats its own; ``--count-only`` builds no line.
+On a terminal stdout is line-buffered; on a pipe or file it goes out in
+blocks of about 8 KiB, so a reader gets a line at most about 8192/(n+1)
+solutions later, or at the end, on Ctrl-C, or when stdout closes: the
+delay stays polynomial.  It stores no solution in any mode; for sorted lines from
 the simple or refined modes, pipe them through ``LC_ALL=C sort``.
 
 :func:`main` may be called many times in one process; the parser is built
@@ -86,26 +86,25 @@ def _run_enumeration(g: Graph, mode: str, order: str, emit,
                      stats: EnumStats) -> EnumStats:
     """Run one enumeration :func:`_check_mode` let through, keeping its
     counters in ``stats`` as it goes.  ``emit`` receives each solution as
-    its output line: the walk hands over its own, the other modes format
-    theirs.  With ``emit=None`` the run only counts and formats nothing.
+    its output line: both searches hand over their own, the oracle's are
+    formatted here.  With ``emit=None`` the run only counts, asking no line.
     """
-    if mode == "simple":
-        walk = (enumerate_po_minimal_simple if order == "po"
-                else enumerate_minimal_rdf_simple)
-        return walk(g, emit or _discard, stats=stats, lines=True)
-    sink = _discard if emit is None else (
-        lambda f: emit(format_assignment(f) + "\n"))
-    if mode == "oracle":
-        stats.tree_nodes = stats.max_gap = 3 ** g.n
-        start = time.perf_counter()
-        try:
-            for f in brute_minimal_rdfs(g, order=order):
-                sink(f)
-                stats.solutions += 1
-        finally:
-            stats.wall_ms = int((time.perf_counter() - start) * 1000)
-        return stats
-    return enumerate_minimal_rdf_refined(g, sink, stats=stats)
+    if mode != "oracle":
+        search = (enumerate_minimal_rdf_refined if mode == "refined"
+                  else enumerate_po_minimal_simple if order == "po"
+                  else enumerate_minimal_rdf_simple)
+        return search(g, emit or _discard, stats=stats,
+                      lines=emit is not None)
+    stats.tree_nodes = stats.max_gap = 3 ** g.n
+    start = time.perf_counter()
+    try:
+        for f in brute_minimal_rdfs(g, order=order):
+            if emit is not None:
+                emit(format_assignment(f) + "\n")
+            stats.solutions += 1
+    finally:
+        stats.wall_ms = int((time.perf_counter() - start) * 1000)
+    return stats
 
 
 # The counters only the refined search fills; ``--stats json`` prints them

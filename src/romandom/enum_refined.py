@@ -49,7 +49,8 @@ the graph's own neighborhood bit sets :attr:`.graph.Graph.nbr`.  So each
 rule test, pend, branch pick, completeness check and privacy test is a few
 operations on Python ints, not a scan, and a rule test returns its targets
 as a bit set.  A 2 enters ``once``/``twice`` only through
-:meth:`SearchState.add_two`.
+:meth:`SearchState.add_two`.  A pass's trace is the list of its steps,
+and the state counts the relabels per rule in a list, not a dict.
 """
 
 from __future__ import annotations
@@ -58,22 +59,20 @@ import time
 
 from .graph import Graph
 from .grdf import ACTIVE, NOT_ONE, NOT_TWO
-from .rdf import Sink
+from .rdf import _DIGITS, Sink
 from .stats import EnumStats
 
-class ReductionTrace:
+class ReductionTrace(list):
     """A reduction pass's steps (rule, vertex, old, new label), in order."""
 
-    __slots__ = ("steps",)
-
-    def __init__(self):
-        self.steps: list[tuple[str, int, int, int]] = []
+    __slots__ = ()
+    steps = property(lambda self: self)  # the trace itself
 
 
 def undo(trace: ReductionTrace, state: SearchState) -> None:
     """Reverse a recorded trace, last step first (mutates the state)."""
     labels, masks = state.labels, state.masks
-    for _rule, w, old, new in reversed(trace.steps):
+    for _rule, w, old, new in reversed(trace):
         masks[new] ^= 1 << w
         masks[old] |= 1 << w
         labels[w] = old
@@ -92,6 +91,8 @@ class SearchState:
     derive ``once & ~twice``, the vertices with exactly one, the private
     neighbors.  No rule creates a 2, so only :meth:`add_two` (for each
     initial 2 and at a set branch) and the branch's restore change them.
+    ``fires[rule]`` counts the relabels of each rule (in ``_RULES`` order)
+    by the passes on this state; ``1 << shift`` >= n is a pass's stride.
     """
 
     def __init__(self, g: Graph, labels: list[int]):
@@ -99,6 +100,8 @@ class SearchState:
         self.nbr, self.ball2 = g.nbr, g.ball2
         self.masks = [0] * (ACTIVE + 1)
         self.once = self.twice = 0
+        self.fires = [0] * len(_RULES)
+        self.shift = max(len(labels) - 1, 0).bit_length()
         for v, x in enumerate(labels):
             self.masks[x] |= 1 << v
             if x == 2:
@@ -109,16 +112,6 @@ class SearchState:
         near = self.nbr[v] | 1 << v
         self.twice |= self.once & near
         self.once |= near
-
-
-def _around(nbr: tuple[int, ...], vertices: int) -> int:
-    # The union of the neighborhoods of a bit set of vertices.
-    union = 0
-    while vertices:
-        low = vertices & -vertices
-        union |= nbr[low.bit_length() - 1]
-        vertices ^= low
-    return union
 
 
 # The rules in the order they are tried.  Each applies only at a vertex
@@ -231,18 +224,18 @@ _TESTS = (_lpn, _v0, _v2, _npd, _npn, _isolate)
 
 
 def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
-                n: int, w: int, old: int, new: int) -> int:
+                stride: int, w: int, old: int, new: int) -> int:
     """``pending`` with what the relabel old -> new of w can newly satisfy."""
     if old == ACTIVE and not masks[ACTIVE]:
-        pending |= masks[NOT_ONE] << _ISOLATE * n
+        pending |= masks[NOT_ONE] << _ISOLATE * stride
     if new == 0:
         if c1 >> w & 1 and nbr[w] & (masks[ACTIVE] | masks[NOT_ONE]):
-            pending |= 1 << _V0 * n + w
+            pending |= 1 << _V0 * stride + w
     elif new == NOT_TWO:
-        pending |= 1 << _NPD * n + w
+        pending |= 1 << _NPD * stride + w
     near = nbr[w]
     for label, rule in _ENABLED_AROUND[old][new][not masks[ACTIVE]]:
-        pending |= (near & masks[label]) << rule * n
+        pending |= (near & masks[label]) << rule * stride
     return pending
 
 
@@ -279,38 +272,47 @@ def apply_reductions(state: SearchState,
     a target) next to each 2-vertex u within distance 2 of b: b's 2
     takes a V0 blocker away only in N[b], and a blocker lies in N(u).
     Otherwise every vertex is pended.  Returns the trace that undoes the
-    relabelings, its steps (rule, vertex, old label, new label) in order.
+    relabelings; each firing adds its target count to ``state.fires``.
     """
     labels, masks, nbr = state.labels, state.masks, state.nbr
     c1 = state.once & ~state.twice
-    n = len(labels)
+    shift, fires = state.shift, state.fires
+    stride = 1 << shift
+    low_bits = stride - 1
     trace = ReductionTrace()
-    steps = trace.steps
-    # Bit rule * n + v of ``pending`` stands for the pair (rule, v).
+    append = trace.append
+    # Bit (rule << shift) + v of ``pending`` stands for the pair (rule, v).
     if branch is None:
-        pending = sum(mask << rule * n for rule, mask in enumerate((
+        pending = sum(mask << rule * stride for rule, mask in enumerate((
             masks[2], masks[0] & c1, masks[2], masks[NOT_TWO],
             masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
         b, old = branch
-        pending = _pend_moved(0, masks, nbr, c1, n, b, old, labels[b])
+        pending = _pend_moved(0, masks, nbr, c1, stride, b, old, labels[b])
         if labels[b] == 2:
-            pending |= 1 << _LPN * n + b | 1 << _V2 * n + b
-            cand = _around(nbr, state.ball2[b] & masks[2]) & masks[0] & c1
+            pending |= 1 << _LPN * stride + b | 1 << _V2 * stride + b
+            twos, cand = state.ball2[b] & masks[2], 0
+            while twos:
+                low = twos & -twos
+                cand |= nbr[low.bit_length() - 1]
+                twos ^= low
+            cand &= masks[0] & c1
             targets = masks[ACTIVE] | masks[NOT_ONE]
             while cand:
                 low = cand & -cand
                 if nbr[low.bit_length() - 1] & targets:
-                    pending |= low << _V0 * n
+                    pending |= low << _V0 * stride
                 cand ^= low
 
     while pending:
         lowest = pending & -pending
         pending ^= lowest
-        rule, v = divmod(lowest.bit_length() - 1, n)
-        targets = _TESTS[rule](labels, masks, nbr, c1, v)
+        bit = lowest.bit_length() - 1
+        rule = bit >> shift
+        targets = _TESTS[rule](labels, masks, nbr, c1, bit & low_bits)
         if not targets:
             continue
+        fires[rule] += targets.bit_count()
         name, new_label = _RULES[rule], _NEW_LABEL[rule]
         while targets:
             low = targets & -targets
@@ -318,10 +320,10 @@ def apply_reductions(state: SearchState,
             w = low.bit_length() - 1
             old = labels[w]
             labels[w] = new = new_label[old]
-            steps.append((name, w, old, new))
+            append((name, w, old, new))
             masks[old] ^= low
             masks[new] |= low
-            pending = _pend_moved(pending, masks, nbr, c1, n, w, old, new)
+            pending = _pend_moved(pending, masks, nbr, c1, stride, w, old, new)
     return trace
 
 
@@ -359,7 +361,8 @@ class RefinedEnumerator:
     """One enumeration run; create, then call :meth:`run` once.
 
     The counters go into ``stats`` (a new :class:`EnumStats` by default) as
-    the search runs; :meth:`run` completes them even if the search raises.
+    the search runs; :meth:`run` completes them even if the search raises,
+    adding the state's ``fires`` to ``rule_fires`` in ``_RULES`` order.
     The search itself asserts nothing: the tests check every entered child
     (invariants, rebuilt state, falling measure, a solver witness), every
     pruned child (no witness after a full pass on a copy) and the phase
@@ -369,9 +372,8 @@ class RefinedEnumerator:
     """
 
     def __init__(self, g: Graph, sink: Sink, *,
-                 stats: EnumStats | None = None):
-        self.graph = g
-        self.sink = sink
+                 stats: EnumStats | None = None, lines: bool = False):
+        self.graph, self.sink, self.lines = g, sink, lines
         self.state = SearchState(g, [ACTIVE] * g.n)
         self.stats = EnumStats() if stats is None else stats
         self._gap = 0
@@ -382,6 +384,10 @@ class RefinedEnumerator:
             self._node(last_priority=0)
         finally:
             self.stats.max_gap = max(self.stats.max_gap, self._gap)
+            fires = self.stats.rule_fires
+            for name, count in zip(_RULES, self.state.fires):
+                if count:
+                    fires[name] = fires.get(name, 0) + count
             # 1.9332 ** n overflows a float from n = 1076; 1.9332 ** -n
             # only underflows towards 0.0.
             self.stats.tree_ratio = (self.stats.tree_nodes
@@ -400,9 +406,11 @@ class RefinedEnumerator:
         labels, masks = state.labels, state.masks
         if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
             # Every label is final: a leaf.
-            self.sink(tuple(labels))
+            self.sink(bytes(labels).translate(_DIGITS).decode() + "\n"
+                      if self.lines else tuple(labels))
             stats.solutions += 1
-            stats.max_gap = max(stats.max_gap, self._gap)
+            if self._gap > stats.max_gap:
+                stats.max_gap = self._gap
             self._gap = 0
             return
         self._gap += 1
@@ -432,7 +440,6 @@ class RefinedEnumerator:
         generator ends with the node's subtree."""
         stats, state = self.stats, self.state
         labels, masks = state.labels, state.masks
-        fires = stats.rule_fires
         old = labels[v]
         bit = 1 << v
         once, twice = state.once, state.twice
@@ -449,8 +456,6 @@ class RefinedEnumerator:
             # to a 2 at a fixpoint, so the solver's saturation adds nothing.
             if new != 2 or self._private_near(v):
                 trace = apply_reductions(state, seed)
-                for step in trace.steps:
-                    fires[step[0]] = fires.get(step[0], 0) + 1
                 below = self._node(priority)
                 if below is not None:
                     yield below
@@ -480,7 +485,8 @@ class RefinedEnumerator:
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,
-                                  stats: EnumStats | None = None
-                                  ) -> EnumStats:
-    """Deliver every minimal rdf of ``g`` exactly once; see module docs."""
-    return RefinedEnumerator(g, sink, stats=stats).run()
+                                  stats: EnumStats | None = None,
+                                  lines: bool = False) -> EnumStats:
+    """Deliver every minimal rdf of ``g`` exactly once; see module docs.
+    ``lines`` is as for :func:`.enum_simple.enumerate_minimal_rdf_simple`."""
+    return RefinedEnumerator(g, sink, stats=stats, lines=lines).run()

@@ -150,14 +150,36 @@ def test_enumerate_stats_json_keys_per_mode(c5_file, capsys, mode, order):
 
 
 def test_counting_formats_no_solution(c5_file, capsys, monkeypatch):
+    # --count-only asks no search for lines, and its sinks never see text;
+    # the oracle, which formats its own lines, never formats one
     def refuse(f):
         raise AssertionError(f"formatted {f}")
 
+    called = set()
+
+    def counting(search):
+        def run(g, sink, *, lines=False, **kwargs):
+            assert not lines, f"{search.__name__} asked for lines"
+            called.add(search.__name__)
+
+            def checked(f):
+                assert not isinstance(f, str), f"{search.__name__} sent {f!r}"
+                sink(f)
+
+            return search(g, checked, **kwargs)
+        return run
+
     monkeypatch.setattr(romandom.cli, "format_assignment", refuse)
+    for name in ("enumerate_minimal_rdf_refined",
+                 "enumerate_minimal_rdf_simple",
+                 "enumerate_po_minimal_simple"):
+        monkeypatch.setattr(romandom.cli, name,
+                            counting(getattr(romandom.cli, name)))
     for mode, order in _MODE_ORDERS:
         assert main(["enumerate", c5_file, "--mode", mode, "--order", order,
                      "--count-only"]) == 0
         assert int(capsys.readouterr().out) > 0
+    assert len(called) == 3
 
 
 def test_enumerate_stats_json(c5_file, capsys):
@@ -257,6 +279,8 @@ def test_enumerate_interrupt_prints_partial_stats(tmp_path, mode):
     assert stats["solutions"] < 16 ** 4
     assert stats["tree_nodes"] >= stats["solutions"]
     assert stats["max_gap"] >= 1
+    if mode == "refined":
+        assert sum(stats["rule_fires"].values()) > 0
 
 
 @pytest.mark.parametrize("mode", ["simple", "refined", "oracle"])

@@ -18,7 +18,8 @@ from romandom.enum_refined import (RefinedEnumerator, SearchState,
 from romandom.extension import gen_ext_rd, project_grdf
 from romandom.grdf import ACTIVE, NOT_ONE, NOT_TWO, measure
 from romandom.oracle import brute_minimal_rdfs
-from romandom.rdf import two_counts
+from romandom.rdf import format_assignment, two_counts
+from romandom.stats import EnumStats
 from support import (check_phase_properties, consistent_with,
                      violated_invariants)
 
@@ -568,6 +569,24 @@ def test_refined_past_one_machine_word():
     assert all(is_minimal_rdf(g, f) for f in out)
 
 
+@pytest.mark.parametrize("lines", [False, True], ids=["tuples", "lines"])
+@pytest.mark.parametrize("g, count, digest", [
+    (gen_c5_copies(3), 4096, "1c839b1e0d1d8f73"),
+    (gen_cycle(14), 1492, "8d15bc0ffb761e95"),
+    (gen_random(12, 0.2, 7), 159, "da9cdb7d5d50eb40"),
+], ids=["c5pow3", "cycle14", "random12"])
+def test_refined_stream_golden(g, count, digest, lines):
+    # pins the ordered stream of each leaf form, the digest taken over the
+    # lines joined by "\n", as for the walk's golden
+    out = []
+    enumerate_minimal_rdf_refined(g, out.append, **({"lines": True} if lines
+                                                    else {}))
+    text = "".join(out if lines else
+                   (format_assignment(f) + "\n" for f in out))
+    assert len(out) == count
+    assert hashlib.sha256(text[:-1].encode()).hexdigest()[:16] == digest
+
+
 def test_refined_rule_fires_and_prunes():
     stats = enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None)
     assert stats.rule_fires == {"LPN": 3880, "V0": 669, "V2": 430,
@@ -596,6 +615,54 @@ def test_only_entered_children_are_reduced(monkeypatch, g):
     stats = enumerate_minimal_rdf_refined(g, lambda f: None)
     assert len(calls) == stats.tree_nodes - 1
     assert stats.rule_fires == dict(fired)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_rule_fires_exact_when_the_sink_raises(monkeypatch):
+    # the counts come from the passes that ran before the sink stopped
+    # the search at its 100th solution
+    fired = Counter()
+
+    def recording(*args, **kwargs):
+        trace = apply_reductions(*args, **kwargs)
+        fired.update(step[0] for step in trace)
+        return trace
+
+    def sink(f):
+        if stats.solutions == 99:
+            raise _Stop
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", recording)
+    stats = EnumStats()
+    with pytest.raises(_Stop):
+        enumerate_minimal_rdf_refined(gen_c5_copies(3), sink, stats=stats)
+    assert stats.solutions == 99 and fired
+    assert stats.rule_fires == dict(fired)
+    assert list(stats.rule_fires) == [rule for rule in enum_refined._RULES
+                                      if rule in fired]
+
+
+def test_rule_fires_add_up_over_runs():
+    # a second run into the same stats adds its fires to the first's
+    stats = EnumStats()
+    enumerate_minimal_rdf_refined(gen_cycle(14), lambda f: None, stats=stats)
+    first = Counter(stats.rule_fires)
+    second = enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None)
+    enumerate_minimal_rdf_refined(gen_c5_copies(3), lambda f: None,
+                                  stats=stats)
+    assert stats.rule_fires == dict(first + Counter(second.rule_fires))
+
+
+def test_trace_is_its_list_of_steps(p2):
+    state = SearchState(p2, [2, ACTIVE])
+    trace = apply_reductions(state)
+    assert type(trace) is enum_refined.ReductionTrace
+    assert isinstance(trace, list) and trace.steps is trace
+    assert trace == [("LPN", 1, ACTIVE, 0)]
+    assert state.fires == [1, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("g, expected", [

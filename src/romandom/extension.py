@@ -5,7 +5,8 @@ above f, and produce one as a witness.  Variants: a forbidden set of
 vertices that must not end up with value 2, and the PO order.  All run
 in O(n + m) time: the O(n) part is C-level work on sequences (byte
 scans of f, a split for its 2-set, ``[1] * n``), and Python loops touch
-only N[V2], O(|V2| + vol(V2)) for the 2-set V2 after saturation.
+only N[V2], O(|V2| + vol(V2)) for the 2-set V2 after saturation: one pass
+counts 2-neighbors and writes the witness, one reads privacy off the counts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .graph import Graph
 from .grdf import NOT_TWO
-from .rdf import Assignment, _scan, lonely_twos, two_counts
+from .rdf import Assignment, _scan
 
 if TYPE_CHECKING:
     from .enum_refined import SearchState
@@ -44,7 +45,9 @@ class ExtensionInstance:
 
 def _solve(inst: ExtensionInstance, po: bool) -> Assignment | None:
     f, forbidden, adj = inst.values, inst.forbidden, inst.graph.adj
-    m2 = list(inst._v2)  # a copy: saturation appends to it
+    m2 = inst._v2
+    if not m2:  # no 2 to saturate from or to keep private: all 1s
+        return (1,) * len(f)
 
     # With no 1 in f there is nothing to saturate and no 1 next to a 2.
     if inst._ones and po:
@@ -57,6 +60,7 @@ def _solve(inst: ExtensionInstance, po: bool) -> Assignment | None:
         # Saturate: a 1-vertex next to a 2-vertex must itself become 2.  The
         # closure, and whether it reaches a forbidden vertex, do not depend
         # on the visit order.
+        m2 = list(m2)  # a copy: the instance answers the same every time
         raised = set()
         stack = list(m2)
         while stack:
@@ -68,19 +72,27 @@ def _solve(inst: ExtensionInstance, po: bool) -> Assignment | None:
                     m2.append(u)
                     stack.append(u)
 
+    # One pass over N[m2] counts c[w] = |N[w] ∩ m2| and writes the witness's
+    # 0s on N(m2); the privacy pass writes its 2s on m2, and 1s stay elsewhere.
+    c, out = [0] * len(f), [1] * len(f)
+    for v in m2:
+        c[v] += 1
+        for u in adj[v]:
+            c[u] += 1
+            out[u] = 0
     # Privacy: every 2-vertex must dominate something on its own.  The PO
     # variant tests the closed neighborhood (irredundance), the standard
     # variant the open one (a private neighbor other than the vertex itself).
-    # Every neighbor of m2 outside it is a 0 by now.
-    c = two_counts(adj, m2)
-    if any(not po or c[v] != 1 for v in lonely_twos(adj, f, m2, c)):
-        return None
-    # The witness: 2 on m2, 0 on the rest of N[m2], 1 elsewhere.
-    out = [1] * len(f)
+    # After saturation or the PO refusal every neighbor of m2 outside it is
+    # a 0, and a member next to a member counts at least 2: c[u] == 1 alone
+    # marks a private neighbor u, and f is not read.
     for v in m2:
         for u in adj[v]:
-            out[u] = 0
-    for v in m2:
+            if c[u] == 1:
+                break
+        else:
+            if not po or c[v] != 1:
+                return None
         out[v] = 2
     return tuple(out)
 

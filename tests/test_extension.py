@@ -304,6 +304,78 @@ def test_solvers_and_checkers_match_list_reference_planted():
             _assert_matches_reference(g, f, forbidden)
 
 
+# The solvers read privacy off the counts alone: c[u] == 1 marks a private
+# neighbour u because every neighbour of the 2-set outside it is a 0 and a
+# 2 next to a 2 counts at least 2.  Each case below checks that on a shape
+# that the random cases above rarely or never draw.
+
+def _solve_all(g, f, forbidden=frozenset()):
+    _assert_matches_reference(g, f, forbidden)
+    inst = ExtensionInstance(g, f, forbidden)
+    return ext_rd(g, f), ext_po_rd(g, f), gen_ext_rd(inst), gen_ext_po_rd(inst)
+
+
+@pytest.mark.parametrize("own_leaf", [False, True])
+def test_shared_hub_is_no_private_neighbour(own_leaf):
+    # hub 0 next to the 2s 1, 2, 3; the 2s 2, 3 and 4 have leaves 5, 6, 7.
+    # The 2 at 1 touches only the hub (count 3) and the 2 at 4, and counts
+    # 2 itself, so it fails both orders unless it gets a leaf (8) of its own.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 7)]
+    f = (0, 2, 2, 2, 2, 0, 0, 0) + (0,) * own_leaf
+    g = Graph.from_edges(len(f), edges + [(1, 8)] * own_leaf)
+    answers = _solve_all(g, f)
+    if own_leaf:
+        assert answers == (f,) * 4
+    else:
+        assert answers == (None,) * 4
+        assert two_counts(g.adj, [1, 2, 3, 4])[:2] == [3, 2]
+
+
+@pytest.mark.parametrize("own_leaf", [False, True])
+def test_saturation_raises_a_one_next_to_a_hub(own_leaf):
+    # The 1 at 3 sits next to the 2 at 1 and the hub 0: saturation makes it
+    # a 2, so the hub counts 3 and the raised vertex 2 (itself and 1).  The
+    # 2 at 1 keeps its leaf 4; the raised 3 has no private neighbour unless
+    # it gets a leaf (6) of its own.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 5)]
+    f = (0, 2, 2, 1, 0, 0) + (0,) * own_leaf
+    g = Graph.from_edges(len(f), edges + [(3, 6)] * own_leaf)
+    std, po, gen, gen_po = _solve_all(g, f)
+    assert po is gen_po is None  # a 1 next to a 2
+    assert std == gen == ((0, 2, 2, 2, 0, 0, 0) if own_leaf else None)
+    assert _solve_all(g, f, frozenset({3}))[::2] == (std, None)
+
+
+def test_isolated_two_is_private_to_itself_under_po():
+    # The 2s at 0, 2 and 4 of P5 leave 1 and 3 with count 2, so none has an
+    # external private neighbour; each counts 1 itself, which the PO order
+    # accepts.  Likewise the isolated 2 at 5.
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    f = (2, 0, 2, 0, 2, 2)
+    assert _solve_all(g, f) == (None, f, None, f)
+    assert _solve_all(g, (0, 0, 0, 0, 0, 2)) == (
+        None, (1, 1, 1, 1, 1, 2), None, (1, 1, 1, 1, 1, 2))
+
+
+def test_empty_two_set_gives_all_ones():
+    g = gen_cycle(6)
+    for f in ((0,) * 6, (1, 0, 1, 0, 0, 1)):
+        assert _solve_all(g, f, frozenset({0, 3})) == ((1,) * 6,) * 4
+    assert _solve_all(gen_null(0), ()) == ((),) * 4
+
+
+def test_solve_leaves_the_instance_two_set_alone():
+    # saturation appends to a copy of the 2-set, also when it then meets a
+    # forbidden vertex and answers NO
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])
+    for forbidden, want in ((frozenset(), (0, 2, 2, 0, 2, 0)),
+                            (frozenset({4}), None)):
+        inst = ExtensionInstance(g, (0, 2, 1, 0, 1, 0), forbidden)
+        assert gen_ext_rd(inst) == want
+        assert inst._v2 == [1]
+        assert gen_ext_rd(inst) == want
+
+
 @pytest.mark.parametrize("planted", [False, True])
 def test_checkers_stop_at_a_one_next_to_a_two(monkeypatch, planted):
     # A 1 next to a 2 decides both checkers before any counting; the

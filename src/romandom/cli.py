@@ -144,10 +144,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_forbidden(spec: str | None) -> frozenset[int]:
-    # ExtensionInstance checks the ids' range.
+    # ExtensionInstance checks the ids' range; ids are ASCII decimal, as
+    # in an edge list, though int also reads "+0", "1_0" and "３".
     if not spec:
         return frozenset()
     try:
+        if not spec.isascii() or "+" in spec or "_" in spec:
+            raise ValueError
         return frozenset(int(part) for part in spec.split(",")
                          if part.strip() != "")
     except ValueError as exc:

@@ -32,12 +32,13 @@ and at w itself V0 (a new 0 with one 2-neighbor and a target, an active
 or not-1 neighbor) or NPD (a new not-2).  V0 and V2 never need a
 neighbor's pend, as :func:`apply_reductions` explains.  Of the paper's
 rules, Edges and V1 are left out: they never change a decision of the
-search (see the notes after the rules).  The extension
-test is local too: the search keeps the bit sets ``once``/``twice`` of
-the vertices dominated by at least one/two 2-vertices, the primitive of
-the subset walk in :mod:`.enum_simple`, and only 2-vertices near a new 2
-can lose a private neighbor.  No rule changes what the test reads, so a
-set child is tested before its pass, and a dead one is never reduced.
+search (see the notes after the rules).  The extension test is local
+too: the search keeps the bit sets ``once``/``twice`` of the vertices
+dominated by at least one/two 2-vertices, the primitive of the subset
+walk in :mod:`.enum_simple`, and only 2-vertices near a new 2 can lose
+a private neighbor.  No rule changes what the test reads, so a set
+child is tested before its pass, a dead one is never reduced, and a
+live one's pass seeds V0 from the neighborhoods the test walked.
 :func:`extension.gen_ext_rd` stays the reference: the search asserts
 nothing.  The tests wrap it from outside and check it against the solver,
 the measure of :mod:`.grdf`, and the state invariants and phase
@@ -240,7 +241,7 @@ def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
 
 
 def apply_reductions(state: SearchState,
-                     branch: tuple[int, int] | None = None
+                     branch: tuple[int, int, int] | None = None
                      ) -> ReductionTrace:
     """Run the reduction rules to fixpoint (relabels the state).
 
@@ -265,12 +266,13 @@ def apply_reductions(state: SearchState,
     class only as not-2 -> 1, which NPD cannot do next to the 2-vertex u.
 
     No rule creates a 2, so ``once`` and ``twice`` stay fixed here.
-    With ``branch = (b, old)`` the state must be a fixpoint except at b,
-    just relabelled from ``old`` by a branch (a set branch has already
-    called :meth:`SearchState.add_two` on b).  The branch pends as a
-    relabel does; a set branch also pends LPN and V2 at b, and V0 (with
-    a target) next to each 2-vertex u within distance 2 of b: b's 2
-    takes a V0 blocker away only in N[b], and a blocker lies in N(u).
+    With ``branch = (b, old, near)`` the state must be a fixpoint except
+    at b, just relabelled from ``old`` by a branch (a set branch has
+    already called :meth:`SearchState.add_two` on b).  The branch pends
+    as a relabel does; a set branch also pends LPN and V2 at b, and V0
+    (with a target) at each 0-vertex of ``near & once & ~twice``, where
+    ``near`` covers N(u) for each 2-vertex u within distance 2 of b: b's
+    2 takes a V0 blocker away only in N[b], and a blocker lies in N(u).
     Otherwise every vertex is pended.  Returns the trace that undoes the
     relabelings; each firing adds its target count to ``state.fires``.
     """
@@ -287,16 +289,11 @@ def apply_reductions(state: SearchState,
             masks[2], masks[0] & c1, masks[2], masks[NOT_TWO],
             masks[ACTIVE], 0 if masks[ACTIVE] else masks[NOT_ONE])))
     else:
-        b, old = branch
+        b, old, near = branch
         pending = _pend_moved(0, masks, nbr, c1, stride, b, old, labels[b])
         if labels[b] == 2:
             pending |= 1 << _LPN * stride + b | 1 << _V2 * stride + b
-            twos, cand = state.ball2[b] & masks[2], 0
-            while twos:
-                low = twos & -twos
-                cand |= nbr[low.bit_length() - 1]
-                twos ^= low
-            cand &= masks[0] & c1
+            cand = near & masks[0] & c1
             targets = masks[ACTIVE] | masks[NOT_ONE]
             while cand:
                 low = cand & -cand
@@ -417,15 +414,13 @@ class RefinedEnumerator:
         # By I4 an incomplete fixpoint has an active or not-1 vertex.
         v, priority = pick_branch_vertex(state)
         if priority > last_priority:
-            key = f"{last_priority}->{priority}"
-            stats.phase_transitions[key] = (
-                stats.phase_transitions.get(key, 0) + 1
-            )
+            key, seen = f"{last_priority}->{priority}", stats.phase_transitions
+            seen[key] = seen.get(key, 0) + 1
         if last_priority:
-            return self._branch(v, priority, (v, labels[v]))
+            return self._branch(v, priority, True)
         # The all-active root is no fixpoint if some vertex is isolated, so
         # its children pend every vertex.
-        path = [self._branch(v, priority, None)]
+        path = [self._branch(v, priority, False)]
         while path:
             below = next(path[-1], None)
             if below is None:
@@ -433,15 +428,15 @@ class RefinedEnumerator:
             else:
                 path.append(below)
 
-    def _branch(self, v: int, priority: int, seed: tuple[int, int] | None):
+    def _branch(self, v: int, priority: int, seeded: bool):
         """Enter the children of the node that branches on v (active or
         not-1), with v at 2, then at not-2 or 0; yield each inner child's
         branch, and go on once the caller has exhausted it, so this
-        generator ends with the node's subtree."""
+        generator ends with the node's subtree.  A ``seeded`` child's pass
+        starts from ``(v, old, near)``, ``near`` from the privacy test."""
         stats, state = self.stats, self.state
         labels, masks = state.labels, state.masks
-        old = labels[v]
-        bit = 1 << v
+        old, bit = labels[v], 1 << v
         once, twice = state.once, state.twice
         # v is active or not-1: set it to 2, then deny it the 2.
         for new in (2, NOT_TWO if old == ACTIVE else 0):
@@ -451,11 +446,13 @@ class RefinedEnumerator:
             if new == 2:
                 state.add_two(v)
             # A deny keeps the parent's 2-set and once/twice, which passed
-            # the test.  It reads only once/twice, nbr and the 2-set, which
-            # no rule changes, so it runs before the pass; by I2 no 1 is next
-            # to a 2 at a fixpoint, so the solver's saturation adds nothing.
-            if new != 2 or self._private_near(v):
-                trace = apply_reductions(state, seed)
+            # the test; its pass reads no near (-1).  The test reads only these
+            # and nbr, which no rule changes, so it runs before the pass; by I2
+            # no 1 is next to a 2 at a fixpoint, so saturation adds nothing.
+            near = self._private_near(v) if new == 2 else -1
+            if near:
+                trace = apply_reductions(state, (v, old, near) if seeded
+                                         else None)
                 below = self._node(priority)
                 if below is not None:
                     yield below
@@ -467,21 +464,24 @@ class RefinedEnumerator:
             labels[v] = old
             state.once, state.twice = once, twice
 
-    def _private_near(self, b: int) -> bool:
+    def _private_near(self, b: int) -> int:
         """The extension test after setting b to 2, from the parent's pass.
 
-        Only 2-vertices within distance 2 of b can have lost their last
-        private neighbor (one in ``once & ~twice``), and b needs one too.
+        Only the 2-vertices u within distance 2 of b can have lost their
+        last private neighbor (one in ``once & ~twice``), and b needs one
+        too.  Returns 0 if one has none, else their N(u) joined (not 0).
         """
         state = self.state
         nbr, c1 = state.nbr, state.once & ~state.twice
-        twos = state.ball2[b] & state.masks[2]
+        twos, near = state.ball2[b] & state.masks[2], 0
         while twos:
             low = twos & -twos
-            if not nbr[low.bit_length() - 1] & c1:
-                return False
+            around = nbr[low.bit_length() - 1]
+            if not around & c1:
+                return 0
+            near |= around
             twos ^= low
-        return True
+        return near
 
 
 def enumerate_minimal_rdf_refined(g: Graph, sink: Sink, *,

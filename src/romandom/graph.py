@@ -109,8 +109,9 @@ def parse_edge_list(text: str) -> Graph:
 
     First non-comment line is ``n m``, followed by ``m`` lines ``u v``.
     Lines starting with ``#`` and blank lines are ignored.  Duplicate
-    edges collapse; self-loops and out-of-range ids are errors that name
-    the offending line.
+    edges collapse; self-loops, out-of-range ids and numbers not written
+    in ASCII decimal (``int`` also reads ``+0``, ``1_0`` and ``３``) are
+    errors that name the offending line.
     """
     n = -1
     m = -1
@@ -127,6 +128,8 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphFormatError("non-integer header", line_no) from None
+            if not line.isascii() or "+" in line or "_" in line:
+                raise GraphFormatError("header not in ASCII decimal", line_no)
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", line_no)
             continue
@@ -136,6 +139,8 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError("non-integer vertex id", line_no) from None
+        if not line.isascii() or "+" in line or "_" in line:
+            raise GraphFormatError("vertex id not in ASCII decimal", line_no)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"id out of range in edge ({u},{v})", line_no)
         if u == v:

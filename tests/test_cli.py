@@ -488,6 +488,24 @@ def test_extend_bad_forbidden(p2_file, capsys):
     assert main(["extend", p2_file, "00", "--forbidden", "x"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["+0", "1_0", "\uff11", "0,+1"])
+def test_extend_forbidden_ids_in_ascii_decimal(p2_file, capsys, spec):
+    # int() reads each form; --forbidden, like an edge list, does not
+    assert main(["extend", p2_file, "00", "--forbidden", spec]) == 2
+    assert "bad forbidden list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["0 \uff10", "1_0 0", "+1 0"])
+def test_enumerate_refuses_a_header_not_in_ascii_decimal(tmp_path, capsys,
+                                                         header):
+    # "0 ０" once enumerated the order-0 graph: one empty solution, exit 0
+    path = tmp_path / "g.edges"
+    path.write_text(header + "\n", encoding="utf-8")
+    assert main(["enumerate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "line 1: header not in ASCII decimal" in err
+
+
 def test_check_minimal(c5_file, capsys):
     assert main(["check", c5_file, "20200"]) == 0
     assert _lines(capsys) == ["minimal: all conditions pass"]

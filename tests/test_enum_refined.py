@@ -203,10 +203,10 @@ def _checked_run(g, leaf_ratios=None):
                 f"phase {done} properties violated")
         return node(self, last_priority)
 
-    def checked_branch(self, v, priority, seed):
+    def checked_branch(self, v, priority, seeded):
         frames.append((measure(self.state), []))
         before = self.stats.solutions
-        yield from branch(self, v, priority, seed)
+        yield from branch(self, v, priority, seeded)
         mu, children = frames.pop()
         tau = sum(1.9332 ** (child - mu) for child in children)
         assert priority == 3 or tau <= 1 + 1e-9, (
@@ -798,16 +798,83 @@ def test_tau_above_one_at_priority_3():
     assert [round(t, 5) for t in tau[3] if t > 1] == [1.03235]
 
 
-@pytest.mark.parametrize("verdict", [True, False], ids=["alive", "dead"])
+def _near_reference(g, labels, b):
+    # from the adjacency alone: 0 if a 2-vertex within distance 2 of b has
+    # no neighbor with exactly one 2 in its closed neighborhood, else the
+    # union of those 2-vertices' neighborhoods
+    ball = {b, *g.adj[b]}
+    ball |= {w for x in g.adj[b] for w in g.adj[x]}
+    near = 0
+    for u in sorted(ball):
+        if labels[u] != 2:
+            continue
+        if not any(sum(labels[y] == 2 for y in (x, *g.adj[x])) == 1
+                   for x in g.adj[u]):
+            return 0
+        near |= sum(1 << x for x in g.adj[u])
+    return near
+
+
+@pytest.mark.parametrize("g, labels, b, near", [
+    (Graph.from_edges(3, [(0, 1), (1, 2)]), [ACTIVE, 2, ACTIVE], 1, 0b101),
+    (Graph.from_edges(3, [(0, 1), (1, 2)]), [2, 0, 2], 2, 0),
+    (gen_cycle(5), [2, NOT_ONE, 2, ACTIVE, 0], 2, 0b11010),
+    (gen_cycle(5), [2, 2, 2, 0, 0], 1, 0),
+], ids=["p3-live", "p3-dead", "c5-live", "c5-dead"])
+def test_private_near_returns_the_v0_neighborhood(g, labels, b, near):
+    # a set child with b at 2 (the state counts every 2 in once/twice, as
+    # add_two does): the union of the neighborhoods the test walked, the
+    # pass's V0 seed, if every 2-vertex near b keeps a private neighbor
+    search = RefinedEnumerator(g, lambda f: None)
+    search.state = SearchState(g, labels)
+    got = search._private_near(b)
+    assert type(got) is int and got == _near_reference(g, labels, b) == near
+
+
+def test_private_near_matches_reference_on_random_states():
+    rng = random.Random(71)
+    seen = set()
+    for seed in range(6):
+        g = gen_random(8, 0.3, seed)
+        search = RefinedEnumerator(g, lambda f: None)
+        for _ in range(40):
+            labels = [rng.choice((0, 2, ACTIVE, NOT_ONE)) for _ in range(8)]
+            b = rng.randrange(8)
+            labels[b] = 2
+            search.state = SearchState(g, labels)
+            near = search._private_near(b)
+            assert near == _near_reference(g, labels, b)
+            seen.add(bool(near))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("verdict", [-1, 0], ids=["alive", "dead"])
 def test_checked_run_catches_a_wrong_privacy_test(monkeypatch, verdict):
     # a privacy test that always answers the same passes a plain run, but
-    # the harness sees a dead child entered or a live one pruned
+    # the harness sees a dead child entered or a live one pruned; "alive"
+    # hands every pass the seed -1, a superset of each V0 seed
     g = gen_c5_copies(2)
     monkeypatch.setattr(RefinedEnumerator, "_private_near",
                         lambda self, b: verdict)
     _run(g)
     with pytest.raises(AssertionError):
         _checked_run(g)
+
+
+@pytest.mark.parametrize("g", [gen_c5_copies(2), gen_cycle(10),
+                               gen_random(12, 0.2, 7)],
+                         ids=["c5pow2", "cycle10", "random12"])
+def test_a_superset_v0_seed_changes_nothing(monkeypatch, g):
+    # handing each live set child's pass the seed -1, every vertex, only
+    # pends V0 where it cannot apply: stream, tree and relabels stay
+    plain_out, plain = _run(g)
+    private_near = RefinedEnumerator._private_near
+    monkeypatch.setattr(RefinedEnumerator, "_private_near",
+                        lambda self, b: private_near(self, b) and -1)
+    out, stats = _run(g)
+    assert out == plain_out
+    assert (stats.tree_nodes, stats.rule_fires, stats.prunes) == (
+        plain.tree_nodes, plain.rule_fires, plain.prunes)
 
 
 def test_v0_tested_only_where_it_has_a_target(monkeypatch):

@@ -107,6 +107,31 @@ def test_parse_rejects(text, message):
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1_0 0\n", "line 1: header not in ASCII decimal"),
+    ("+3 0\n", "line 1: header not in ASCII decimal"),
+    ("\uff13 0\n", "line 1: header not in ASCII decimal"),
+    ("0 \uff10\n", "line 1: header not in ASCII decimal"),
+    ("0\u30000\n", "line 1: header not in ASCII decimal"),
+    ("# 1_0 +0 \uff13\n12 1\n1_0 0\n", "line 3: vertex id not in ASCII"),
+    ("3 1\n+0 1\n", "line 2: vertex id not in ASCII decimal"),
+    ("3 1\n0 \uff12\n", "line 2: vertex id not in ASCII decimal"),
+], ids=["header-underscore", "header-plus", "header-fullwidth",
+        "header-fullwidth-zero", "header-ideographic-space",
+        "edge-underscore", "edge-plus", "edge-fullwidth"])
+def test_parse_rejects_numbers_not_in_ascii_decimal(text, message):
+    # int() reads each of these forms; the format does not, whatever a
+    # comment line holds
+    with pytest.raises(GraphFormatError) as exc:
+        parse_edge_list(text)
+    assert message in str(exc.value)
+
+
+def test_parse_accepts_leading_zeros_and_any_ascii_spacing():
+    g = parse_edge_list("# ３ +0\n003\t02\n 00  1 \n\t2 01\n")
+    assert g.n == 3 and list(g.edges()) == [(0, 1), (1, 2)]
+
+
 @pytest.mark.parametrize("n, edges, message", [
     (-1, [], "vertex count must be non-negative"),
     (3, [(0, 3)], "edge (0,3) out of range for n=3"),

@@ -22,15 +22,20 @@ new of w enables, by the label of each neighbor x,
     ===============  ============================================
     rule at x        when the transition of w
     ===============  ============================================
-    LPN (2)          leaves {active, not-2}
+    LPN (2)          leaves {active, not-2}, and x keeps one of them
     NPD (not-2)      enters {not-2, 0, 1} from {active, not-1, 2}
     NPN (active)     enters {0, not-1}
     Isolate (not-1)  leaves not-2, once nothing is active
     ===============  ============================================
 
 and at w itself V0 (a new 0 with one 2-neighbor and a target, an active
-or not-1 neighbor) or NPD (a new not-2).  V0 and V2 never need a
-neighbor's pend, as :func:`apply_reductions` explains.  Of the paper's
+or not-1 neighbor) or NPD (a new not-2 with no neighbor in {2, not-1,
+active}).  V0 and V2 never need a neighbor's pend, as
+:func:`apply_reductions` explains.  A rule that needs its vertex to have
+one candidate left (LPN) or no blocker left (NPD, and Isolate when the
+last active vertex goes) is pended only where it applies at that moment:
+if it applies later, the relabel that makes it apply pends it then.  So
+few of a pass's tests find nothing to do.  Of the paper's
 rules, Edges and V1 are left out: they never change a decision of the
 search (see the notes after the rules).  The extension test is local
 too: the search keeps the bit sets ``once``/``twice`` of the vertices
@@ -123,10 +128,9 @@ _LPN, _V0, _V2, _NPD, _NPN, _ISOLATE = range(len(_RULES))
 
 def _enabled_around(old: int, new: int, idle: bool) -> tuple:
     """(label, rule) pairs: a relabel old -> new of w pends the rule at the
-    neighbors of w with that label (``idle``: nothing is active)."""
+    neighbors of w with that label (``idle``: nothing is active).  LPN is
+    not among them: :func:`_pend_moved` pends it where it applies."""
     near = []
-    if old in (ACTIVE, NOT_TWO) and new not in (ACTIVE, NOT_TWO):
-        near.append((2, _LPN))
     if old in (ACTIVE, NOT_ONE, 2) and new in (NOT_TWO, 0, 1):
         near.append((NOT_TWO, _NPD))
     if old not in (0, NOT_ONE) and new in (0, NOT_ONE):
@@ -226,17 +230,51 @@ _TESTS = (_lpn, _v0, _v2, _npd, _npn, _isolate)
 
 def _pend_moved(pending: int, masks: list[int], nbr: tuple[int, ...], c1: int,
                 stride: int, w: int, old: int, new: int) -> int:
-    """``pending`` with what the relabel old -> new of w can newly satisfy."""
-    if old == ACTIVE and not masks[ACTIVE]:
-        pending |= masks[NOT_ONE] << _ISOLATE * stride
-    if new == 0:
-        if c1 >> w & 1 and nbr[w] & (masks[ACTIVE] | masks[NOT_ONE]):
-            pending |= 1 << _V0 * stride + w
-    elif new == NOT_TWO:
-        pending |= 1 << _NPD * stride + w
+    """``pending`` with what the relabel old -> new of w newly satisfies.
+
+    Three of these pends are made only where the rule applies at once.
+    The pair may apply later instead, and the relabel that makes it
+    apply pends it then:
+
+    - NPD at a new not-2 w: when its last neighbor in {2, not-1, active}
+      leaves that set (a 2 never does);
+    - Isolate at a not-1 x when the last active vertex goes: when x's
+      last not-2 neighbor leaves not-2;
+    - LPN at a 2-neighbor x of a w that leaves {active, not-2}: x's
+      candidates (its neighbors in that set) only shrink, so the relabel
+      that leaves it one pends it, and one that leaves none need not.
+    """
     near = nbr[w]
+    if old == ACTIVE and not masks[ACTIVE]:
+        not_two, todo, bare = masks[NOT_TWO], masks[NOT_ONE], 0
+        while todo:
+            low = todo & -todo
+            if not nbr[low.bit_length() - 1] & not_two:
+                bare |= low
+            todo ^= low
+        pending |= bare << _ISOLATE * stride
+    if new == NOT_TWO:
+        if not near & (masks[ACTIVE] | masks[NOT_ONE] | masks[2]):
+            pending |= 1 << _NPD * stride + w
+    else:
+        if new == 0 and c1 >> w & 1 and near & (masks[ACTIVE]
+                                                 | masks[NOT_ONE]):
+            pending |= 1 << _V0 * stride + w
+        if old != NOT_ONE:
+            # A not-1 vertex never becomes not-2, so w left {active, not-2}.
+            twos = near & masks[2]
+            if twos:
+                open_ = masks[ACTIVE] | masks[NOT_TWO]
+                while twos:
+                    low = twos & -twos
+                    cand = nbr[low.bit_length() - 1] & open_
+                    if cand and not cand & (cand - 1):
+                        pending |= low  # LPN's pairs are the lowest bits
+                    twos ^= low
     for label, rule in _ENABLED_AROUND[old][new][not masks[ACTIVE]]:
-        pending |= (near & masks[label]) << rule * stride
+        hit = near & masks[label]
+        if hit:  # an OR copies the whole of ``pending``
+            pending |= hit << rule * stride
     return pending
 
 
@@ -250,11 +288,12 @@ def apply_reductions(state: SearchState,
     would change the search tree (see the module docs).  A step relabels
     the rule's targets, lowest first, in place, one trace step each.  A
     worklist replays this order without rescanning: the pending (rule,
-    vertex) pairs, a superset of those where the rule applies, form one
-    bit set in scan order, and each step takes its lowest pair, dropping
-    it if the rule does not apply.  A relabel old -> new of w pends only
-    what the transition can newly satisfy, as in the module table; when
-    the last active vertex goes, Isolate is pended at every not-1 vertex.
+    vertex) pairs, which hold every pair where the rule applies (but V2
+    at a new 2, see below), form one bit set in scan order, and each
+    step takes its lowest pair, dropping it if the rule does not apply.
+    A relabel old -> new of w pends only what the transition newly
+    satisfies, as in the module table; :func:`_pend_moved` says which
+    pends it makes only where the rule applies at once.
 
     V0 and V2 need no neighbor pend.  Their targets, the neighbors that
     may still be 2 (V0) or 1 (V2), only shrink: a vertex enters
@@ -269,10 +308,16 @@ def apply_reductions(state: SearchState,
     With ``branch = (b, old, near)`` the state must be a fixpoint except
     at b, just relabelled from ``old`` by a branch (a set branch has
     already called :meth:`SearchState.add_two` on b).  The branch pends
-    as a relabel does; a set branch also pends LPN and V2 at b, and V0
-    (with a target) at each 0-vertex of ``near & once & ~twice``, where
-    ``near`` covers N(u) for each 2-vertex u within distance 2 of b: b's
-    2 takes a V0 blocker away only in N[b], and a blocker lies in N(u).
+    as a relabel does.  A set branch also pends LPN at b if b has one
+    open neighbor (active or not-2), and V2 if it has more.  With one,
+    V2 applies too, at that neighbor alone, but LPN at b comes first in
+    the scan: open neighbors only shrink, so it either sets that
+    neighbor to 0 or finds none, and V2 then has no target.  With two
+    or more, LPN applies only after the relabel that leaves one, which
+    pends it.  It also pends V0 (with a target) at each 0-vertex of
+    ``near & once & ~twice``, where ``near`` covers N(u) for each
+    2-vertex u within distance 2 of b: b's 2 takes a V0 blocker away
+    only in N[b], and a blocker lies in N(u).
     Otherwise every vertex is pended.  Returns the trace that undoes the
     relabelings; each firing adds its target count to ``state.fires``.
     """
@@ -292,7 +337,10 @@ def apply_reductions(state: SearchState,
         b, old, near = branch
         pending = _pend_moved(0, masks, nbr, c1, stride, b, old, labels[b])
         if labels[b] == 2:
-            pending |= 1 << _LPN * stride + b | 1 << _V2 * stride + b
+            open_ = nbr[b] & (masks[ACTIVE] | masks[NOT_TWO])
+            if open_:
+                pending |= (1 << _V2 * stride + b if open_ & (open_ - 1)
+                            else 1 << _LPN * stride + b)
             cand = near & masks[0] & c1
             targets = masks[ACTIVE] | masks[NOT_ONE]
             while cand:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -195,6 +196,22 @@ def test_enumerate_stats_json(c5_file, capsys):
     assert sum(stats["phase_transitions"].values()) > 0
     assert stats["tree_ratio"] == pytest.approx(
         stats["tree_nodes"] / 1.9332 ** 5)
+
+
+@pytest.mark.parametrize("mode", ["simple", "refined"])
+def test_stats_json_matches_the_asdict_form(mode):
+    # --stats json reads the fields with vars, copying nothing, and prints
+    # the same bytes as a dump of dataclasses.asdict
+    search = (romandom.enumerate_minimal_rdf_refined if mode == "refined"
+              else enumerate_minimal_rdf_simple)
+    stats = search(gen_c5_copies(2), lambda f: None)
+    if mode == "refined":
+        assert stats.rule_fires and stats.phase_transitions
+    expected = json.dumps({key: value for key, value
+                           in dataclasses.asdict(stats).items()
+                           if mode == "refined"
+                           or key not in romandom.cli._REFINED_ONLY})
+    assert romandom.cli._stats_json(stats, mode) == expected
 
 
 def _cli_env():

@@ -337,9 +337,9 @@ def test_reduction_steps_golden(monkeypatch, g, count, digest):
 
 
 @pytest.mark.parametrize("g, expected", [
-    (gen_c5_copies(3), (8190, 935, 4095, 5532, 241, 3756)),
-    (gen_cycle(14), (2982, 466, 1491, 2235, 198, 1851)),
-    (gen_random(12, 0.2, 7), (316, 134, 158, 452, 95, 237)),
+    (gen_c5_copies(3), (4096, 935, 215, 4469, 241, 1941)),
+    (gen_cycle(14), (1492, 466, 210, 1656, 198, 1136)),
+    (gen_random(12, 0.2, 7), (159, 134, 28, 411, 95, 210)),
 ], ids=["c5pow3", "cycle14", "random12"])
 def test_rule_tests_golden(monkeypatch, g, expected):
     # pins how often each rule is tested, in the order LPN, V0, V2, NPD,
@@ -525,7 +525,7 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch, catalog6):
     # every call of a search, seeded at its branch vertex, relabels as the
     # scan does from the same state; the scan has all seven rules, so V1
     # never applies where the search goes
-    calls = []
+    calls, traces = [], []
 
     def compare(grdf, branch):
         expected = list(grdf.labels)
@@ -534,6 +534,7 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch, catalog6):
         assert trace.steps == scan
         assert grdf.labels == expected
         calls.append(branch)
+        traces.append(trace)
         return trace
 
     monkeypatch.setattr(enum_refined, "apply_reductions", compare)
@@ -544,6 +545,51 @@ def test_reductions_match_scan_in_refined_runs(monkeypatch, catalog6):
     for g in graphs + catalog6:
         enumerate_minimal_rdf_refined(g, lambda f: None)
     assert any(branch is not None for branch in calls)
+    # so every pend site, filtered or not, meets real search states
+    assert {step[0] for trace in traces for step in trace} == set(
+        enum_refined._RULES)
+
+
+def _applicable(adj, labels):
+    # the (rule, x) pairs that apply; Isolate only once nothing is active
+    counts = two_counts(adj, [v for v, x in enumerate(labels) if x == 2])
+    idle = ACTIVE not in labels
+    return {(rule, x) for rule, test in _ENGINE_REF_RULES.items()
+            for x in range(len(labels))
+            if (idle or rule != "Isolate") and test(adj, labels, counts, x)}
+
+
+def test_pend_sites_cover_what_a_relabel_enables(monkeypatch, catalog6):
+    # every (rule, x) that applies after a relabel and did not before is in
+    # the pending set _pend_moved returns, though it pends some rules only
+    # where they apply at once; at a set child, the pends at the new 2 of
+    # LPN and V2 and those of V0 are the seed of apply_reductions
+    pend, checked = enum_refined._pend_moved, Counter()
+
+    def covering(pending, masks, nbr, c1, stride, w, old, new):
+        got = pend(pending, masks, nbr, c1, stride, w, old, new)
+        after = [next(x for x in range(ACTIVE + 1) if masks[x] >> v & 1)
+                 for v in range(g.n)]
+        before = list(after)
+        before[w] = old
+        for rule, x in _applicable(g.adj, after) - _applicable(g.adj, before):
+            if new == 2 and (rule == "V0" or x == w and rule in ("LPN", "V2")):
+                continue
+            assert got >> enum_refined._RULES.index(rule) * stride + x & 1, (
+                rule, x, w, old, new, after)
+            checked[rule] += 1
+        return got
+
+    monkeypatch.setattr(enum_refined, "_pend_moved", covering)
+    rng = random.Random(43)
+    graphs = [gen_star(8)] + [gen_random(rng.randint(6, 10),
+                                         rng.choice((0.15, 0.25, 0.4)),
+                                         rng.randrange(10**6))
+                              for _ in range(6)]
+    for g in graphs + catalog6:
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    # V2 never newly applies in a pass: its targets only shrink
+    assert set(checked) == set(enum_refined._RULES) - {"V2"}
 
 
 def test_refined_star_is_fast():
@@ -918,8 +964,8 @@ def test_refined_stats_phase_transitions(c5):
 
 
 def test_stats_asdict_is_a_copy():
-    # what ``--stats json`` dumps: every counter, sharing no dict with the
-    # stats it was taken from
+    # the dict form of the stats: every counter, sharing no dict with the
+    # stats it was taken from (``--stats json`` prints it from ``vars``)
     _, stats = _run(gen_c5_copies(2))
     assert stats.rule_fires and stats.phase_transitions and stats.prunes
     before = dataclasses.asdict(stats)

@@ -6,13 +6,12 @@ generators).  Exit codes: 0 for success / yes / minimal, 1 for no / not
 minimal, 2 for usage errors, 130 when interrupted (Ctrl-C prints
 ``interrupted`` on stderr, with no traceback; ``enumerate --stats json``
 prints the counters gathered so far first).  ``enumerate`` is the one
-enumeration command; it refuses a run that cannot go (refined with
-``--order po``, the oracle above its cap) in one place,
-:func:`_check_mode`, before any output.  Running out of memory
-exits 2 with a message too (its own for loading a graph, for ``gen`` and
-for an ``enumerate`` run).  When the reader closes stdout early
-(``romandom enumerate g.edges | head``) any command stops quietly with
-exit code 0.
+enumeration command; it refuses refined mode with ``--order po``, and the
+oracle refuses a graph above its cap itself, both before any output.
+Running out of memory exits 2 with a message too (its own for loading a
+graph, for ``gen`` and for an ``enumerate`` run).  When the reader closes
+stdout early (``romandom enumerate g.edges | head``) any command stops
+quietly with exit code 0.
 
 ``enumerate`` writes each solution with one ``write`` and no flush: the
 subset walk and the refined search hand over their output lines as is,
@@ -42,8 +41,8 @@ from . import (brute_minimal_rdfs, enumerate_minimal_rdf_refined,
                gen_ext_rd, gen_null, gen_random, gen_star, parse_assignment,
                parse_edge_list, to_edge_list)
 from .extension import ExtensionInstance
-from .graph import Graph
-from .oracle import CAP
+from .graph import Graph, is_ascii_decimal
+from .oracle import OracleCapExceeded
 from .rdf import Assignment, minimality_report
 from .stats import EnumStats
 
@@ -65,28 +64,16 @@ def _load_graph(path: str) -> Graph:
         raise UsageError(f"{path}: out of memory loading the graph") from exc
 
 
-_MODES = ("simple", "refined", "oracle")
-
-
-def _check_mode(mode: str, order: str, n: int) -> None:
-    """Refuse, before any output, a run on ``n`` vertices that cannot go.
-    ``mode`` is one of ``_MODES``: argparse refuses any other."""
-    if mode == "refined" and order == "po":
-        raise UsageError("refined mode supports the standard order only")
-    if mode == "oracle" and n > CAP:
-        raise UsageError(f"oracle mode refused: n={n} exceeds cap={CAP}")
-
-
 def _discard(solution) -> None:
     pass
 
 
 def _run_enumeration(g: Graph, mode: str, order: str, emit,
                      stats: EnumStats) -> EnumStats:
-    """Run one enumeration :func:`_check_mode` let through, keeping its
-    counters in ``stats`` as it goes.  ``emit`` receives each solution as
-    its output line: both searches hand over their own, the oracle's are
-    formatted here.  With ``emit=None`` the run only counts, asking no line.
+    """Run one enumeration, keeping its counters in ``stats`` as it goes.
+    ``emit`` receives each solution as its output line: both searches hand
+    over their own, the oracle's are formatted here.  With ``emit=None``
+    the run only counts, asking no line.
     """
     if mode != "oracle":
         search = (enumerate_minimal_rdf_refined if mode == "refined"
@@ -94,10 +81,11 @@ def _run_enumeration(g: Graph, mode: str, order: str, emit,
                   else enumerate_minimal_rdf_simple)
         return search(g, emit or _discard, stats=stats,
                       lines=emit is not None)
+    solutions = brute_minimal_rdfs(g, order=order)  # refuses n > its cap
     stats.tree_nodes = stats.max_gap = 3 ** g.n
     start = time.perf_counter()
     try:
-        for f in brute_minimal_rdfs(g, order=order):
+        for f in solutions:
             if emit is not None:
                 emit(format_assignment(f) + "\n")
             stats.solutions += 1
@@ -120,7 +108,8 @@ def _stats_json(stats: EnumStats, mode: str) -> str:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args.graph)
-    _check_mode(args.mode, args.order, g.n)
+    if args.mode == "refined" and args.order == "po":
+        raise UsageError("refined mode supports the standard order only")
     # No flush per line: stdout is line-buffered on a terminal and
     # block-buffered on a pipe or file.
     emit = None if args.count_only else sys.stdout.write
@@ -144,12 +133,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _parse_forbidden(spec: str | None) -> frozenset[int]:
-    # ExtensionInstance checks the ids' range; ids are ASCII decimal, as
-    # in an edge list, though int also reads "+0", "1_0" and "３".
+    # ExtensionInstance checks the ids' range; ids are as in an edge list.
     if not spec:
         return frozenset()
     try:
-        if not spec.isascii() or "+" in spec or "_" in spec:
+        if not is_ascii_decimal(spec):
             raise ValueError
         return frozenset(int(part) for part in spec.split(",")
                          if part.strip() != "")
@@ -193,14 +181,20 @@ def _cmd_check(args) -> int:
     return 1
 
 
+def decimal(text: str) -> int:
+    if not is_ascii_decimal(text):
+        raise ValueError(f"{text!r} is not in ASCII decimal")
+    return int(text)
+
+
 # The instance families of ``gen``: name -> (generator, parameter types).
 # ``random`` also takes the seed.
 GENERATORS = {
-    "cycle": (gen_cycle, (int,)),
-    "star": (gen_star, (int,)),
-    "null": (gen_null, (int,)),
-    "c5pow": (gen_c5_copies, (int,)),
-    "random": (gen_random, (int, float)),
+    "cycle": (gen_cycle, (decimal,)),
+    "star": (gen_star, (decimal,)),
+    "null": (gen_null, (decimal,)),
+    "c5pow": (gen_c5_copies, (decimal,)),
+    "random": (gen_random, (decimal, float)),
 }
 
 
@@ -239,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all minimal rdfs of a graph")
     p.add_argument("graph", help="edge-list file")
-    p.add_argument("--mode", choices=_MODES, default="simple")
+    p.add_argument("--mode", choices=["simple", "refined", "oracle"],
+                   default="simple")
     p.add_argument("--order", choices=["standard", "po"], default="standard")
     p.add_argument("--count-only", action="store_true",
                    help="print only the number of solutions")
@@ -264,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="print a generated instance as an edge list")
     p.add_argument("family", choices=list(GENERATORS))
     p.add_argument("params", nargs="*", help="family parameters")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=decimal, default=0)
     p.set_defaults(func=_cmd_gen)
 
     return parser
@@ -278,7 +273,7 @@ def main(argv=None) -> int:
         # Flush here, not at exit, so a closed pipe lands in the handler.
         sys.stdout.flush()
         return code
-    except UsageError as exc:
+    except (UsageError, OracleCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

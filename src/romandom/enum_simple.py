@@ -24,11 +24,8 @@ from __future__ import annotations
 import time
 
 from .graph import Graph
-from .rdf import Sink
+from .rdf import _VALUES, Sink
 from .stats import EnumStats
-
-# Output digits back to values; ``translate`` also drops the line's "\n".
-_VALUES = bytes.maketrans(b"012", b"\0\1\2")
 
 
 def _walk(g: Graph, sink: Sink, po: bool, stats: EnumStats | None = None,
@@ -96,7 +93,7 @@ def _walk(g: Graph, sink: Sink, po: bool, stats: EnumStats | None = None,
             gap = n - depth
             leaf = vals.to_bytes(n + 1, "little")
             sink(leaf.decode() if lines
-                 else tuple(leaf.translate(_VALUES, b"\n")))
+                 else tuple(leaf.translate(_VALUES, b"\n")))  # drops "\n"
             stats.solutions += 1
             if gap > stats.max_gap:
                 stats.max_gap = gap

@@ -104,17 +104,24 @@ class Graph:
         return sum(len(s) for s in self.adj) // 2
 
 
+def is_ascii_decimal(text: str) -> bool:
+    """False iff ``text`` holds what ``int`` reads but ASCII decimal does
+    not: a character outside ASCII (as in ``３``), a ``+`` or a ``_``."""
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical edge-list format.
 
     First non-comment line is ``n m``, followed by ``m`` lines ``u v``.
     Lines starting with ``#`` and blank lines are ignored.  Duplicate
-    edges collapse; self-loops, out-of-range ids and numbers not written
-    in ASCII decimal (``int`` also reads ``+0``, ``1_0`` and ``３``) are
-    errors that name the offending line.
+    edges collapse; self-loops, out-of-range ids and numbers not in ASCII
+    decimal are errors that name the offending line.
     """
     n = -1
     m = -1
+    # Lines are tested only if the text fails: a comment may hold "+" too.
+    suspect = not is_ascii_decimal(text)
     edges: list[tuple[int, int]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,7 +135,7 @@ def parse_edge_list(text: str) -> Graph:
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise GraphFormatError("non-integer header", line_no) from None
-            if not line.isascii() or "+" in line or "_" in line:
+            if suspect and not is_ascii_decimal(line):
                 raise GraphFormatError("header not in ASCII decimal", line_no)
             if n < 0 or m < 0:
                 raise GraphFormatError("negative count in header", line_no)
@@ -139,7 +146,7 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError("non-integer vertex id", line_no) from None
-        if not line.isascii() or "+" in line or "_" in line:
+        if suspect and not is_ascii_decimal(line):
             raise GraphFormatError("vertex id not in ASCII decimal", line_no)
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"id out of range in edge ({u},{v})", line_no)

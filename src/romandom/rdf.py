@@ -23,6 +23,7 @@ Assignment = tuple[int, ...]
 # line when a subset walk is asked for lines.
 Sink = Callable[[Assignment], None] | Callable[[str], None]
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # text form
+_VALUES = bytes.maketrans(b"012", b"\0\1\2")  # and back to values
 
 # Condition names reported by the minimality checkers (and the CLI).
 COND_NO_ONE_NEXT_TO_TWO = "N[V2]∩V1"
@@ -31,12 +32,12 @@ COND_MINIMAL_DS = "minimal dominating set"
 
 
 def parse_assignment(text: str, n: int) -> Assignment:
-    text = text.strip()
-    if len(text) != n:
-        raise ValueError(f"assignment length {len(text)} != graph order {n}")
-    if any(c not in "012" for c in text):
+    digits = text.strip().encode("ascii", "replace")  # non-ASCII -> "?"
+    if len(digits) != n:
+        raise ValueError(f"assignment length {len(digits)} != graph order {n}")
+    if digits.translate(None, b"012"):
         raise ValueError("assignment must be a string over {0,1,2}")
-    return tuple(int(c) for c in text)
+    return tuple(digits.translate(_VALUES))
 
 
 def format_assignment(f: Assignment) -> str:

@@ -13,7 +13,8 @@ import romandom
 from romandom import (enumerate_minimal_rdf_simple, format_assignment,
                       gen_c5_copies, gen_cycle, gen_null, gen_star,
                       to_edge_list)
-from romandom.cli import build_parser, main
+from romandom.cli import _run_enumeration, build_parser, main
+from romandom.oracle import OracleCapExceeded
 from support import InterruptingStdout
 
 
@@ -433,6 +434,14 @@ def test_refusals_exit_2_with_a_message(bad_inputs, capsys, argv, message):
     assert message.format(**bad_inputs) in err
 
 
+def test_oracle_refuses_before_its_tree_size_is_set():
+    # the oracle's own refusal comes before 3 ** n is computed
+    stats = romandom.EnumStats()
+    with pytest.raises(OracleCapExceeded, match="n=13 exceeds cap=12"):
+        _run_enumeration(gen_null(13), "oracle", "standard", None, stats)
+    assert stats == romandom.EnumStats()
+
+
 def test_readme_cli_examples_run(tmp_path):
     # each line of README's CLI examples, in order, in one directory, with
     # ``romandom`` standing for the module and no pipefail
@@ -510,6 +519,25 @@ def test_extend_forbidden_ids_in_ascii_decimal(p2_file, capsys, spec):
     # int() reads each form; --forbidden, like an edge list, does not
     assert main(["extend", p2_file, "00", "--forbidden", spec]) == 2
     assert "bad forbidden list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["1_0", "+5", "\uff13"])
+def test_gen_parameters_in_ascii_decimal(capsys, param):
+    # int() reads each form; gen, like an edge list, does not
+    assert main(["gen", "cycle", param]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not in ASCII decimal" in err
+
+
+def test_gen_seed_in_ascii_decimal(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "random", "4", "0.5", "--seed", "\uff13"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seed: invalid decimal value" in err
+    for seed in ("-3", "7"):
+        assert main(["gen", "random", "20", "0.2", "--seed", seed]) == 0
+        assert capsys.readouterr().out.startswith("20 ")
 
 
 @pytest.mark.parametrize("header", ["0 \uff10", "1_0 0", "+1 0"])

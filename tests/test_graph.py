@@ -321,7 +321,7 @@ def test_gen_random_deterministic():
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(0, 20), p=st.floats(0, 1), seed=st.integers(0, 10**6))
-def test_generated_graphs_validate(n, p, seed):
+def test_generated_graphs_meet_the_definition(n, p, seed):
     g = gen_random(n, p, seed)
     assert _valid_by_definition(g.n, g.adj)
 
@@ -337,7 +337,7 @@ def test_order_zero_graph():
     assert _valid_by_definition(g.n, g.adj)
 
 
-def test_validate_agrees_with_the_definition():
+def test_from_edges_agrees_with_the_definition():
     # random graphs with one entry added, dropped, moved or repeated, read as
     # edge lists: from_edges refuses exactly an out-of-range id or a loop,
     # and otherwise builds valid rows holding every listed edge once

@@ -106,6 +106,21 @@ def test_parse_assignment_round_trip():
         parse_assignment("20", 3)
 
 
+def test_parse_assignment_long_text_and_refusal_order():
+    # 140,000 digits, as README's stdin example; the length is checked
+    # before the digits, and every character outside {0,1,2} is refused,
+    # ASCII or not
+    text = "0120" * 35_000
+    assert parse_assignment(text, 140_000) == tuple(map(int, text))
+    with pytest.raises(ValueError, match="^assignment length 3 != graph "
+                                         "order 4$"):
+        parse_assignment("\uff12a\x00", 4)
+    for bad in ("\uff12", "3", "a", "\x00"):
+        with pytest.raises(ValueError) as exc:
+            parse_assignment("01" + bad, 3)
+        assert str(exc.value) == "assignment must be a string over {0,1,2}"
+
+
 def test_format_assignment_round_trip():
     rng = random.Random(13)
     for n in range(41):

@@ -181,10 +181,10 @@ def _cmd_check(args) -> int:
     return 1
 
 
-def decimal(text: str) -> int:
+def decimal(text: str, kind: type = int):
     if not is_ascii_decimal(text):
         raise ValueError(f"{text!r} is not in ASCII decimal")
-    return int(text)
+    return kind(text)
 
 
 # The instance families of ``gen``: name -> (generator, parameter types).
@@ -194,7 +194,7 @@ GENERATORS = {
     "star": (gen_star, (decimal,)),
     "null": (gen_null, (decimal,)),
     "c5pow": (gen_c5_copies, (decimal,)),
-    "random": (gen_random, (decimal, float)),
+    "random": (gen_random, (decimal, lambda text: decimal(text, float))),
 }
 
 

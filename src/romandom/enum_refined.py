@@ -31,13 +31,17 @@ new of w enables, by the label of each neighbor x,
 and at w itself V0 (a new 0 with one 2-neighbor and a target, an active
 or not-1 neighbor) or NPD (a new not-2 with no neighbor in {2, not-1,
 active}).  V0 and V2 never need a neighbor's pend, as
-:func:`apply_reductions` explains.  A rule that needs its vertex to have
-one candidate left (LPN) or no blocker left (NPD, and Isolate when the
-last active vertex goes) is pended only where it applies at that moment:
-if it applies later, the relabel that makes it apply pends it then.  So
-few of a pass's tests find nothing to do.  Of the paper's
-rules, Edges and V1 are left out: they never change a decision of the
-search (see the notes after the rules).  The extension test is local
+:func:`apply_reductions` explains, and an NPD relabel (not-2 -> 1)
+enables nothing: its w has no neighbor in {2, not-1, active}, and 1 is
+neither a new 0 or not-2 nor in {0, not-1}.  A rule that needs its
+vertex to have one candidate left (LPN) or no blocker left (NPD, and
+Isolate when the last active vertex goes) is pended only where it
+applies at that moment: if it applies later, the relabel that makes it
+apply pends it then.  So few of a pass's tests find nothing to do, and
+a pass ends once every label is final: every rule's targets are active,
+not-1 or not-2.  Of the paper's rules, Edges and V1 are left out: they
+never change a decision of the search (see the notes after the rules).
+The extension test is local
 too: the search keeps the bit sets ``once``/``twice`` of the vertices
 dominated by at least one/two 2-vertices, the primitive of the subset
 walk in :mod:`.enum_simple`, and only 2-vertices near a new 2 can lose
@@ -292,8 +296,10 @@ def apply_reductions(state: SearchState,
     at a new 2, see below), form one bit set in scan order, and each
     step takes its lowest pair, dropping it if the rule does not apply.
     A relabel old -> new of w pends only what the transition newly
-    satisfies, as in the module table; :func:`_pend_moved` says which
-    pends it makes only where the rule applies at once.
+    satisfies, as in the module table (an NPD relabel, nothing), and the
+    pass ends once no vertex is active, not-1 or not-2;
+    :func:`_pend_moved` says which pends it makes only where the rule
+    applies at once.
 
     V0 and V2 need no neighbor pend.  Their targets, the neighbors that
     may still be 2 (V0) or 1 (V2), only shrink: a vertex enters
@@ -368,7 +374,11 @@ def apply_reductions(state: SearchState,
             append((name, w, old, new))
             masks[old] ^= low
             masks[new] |= low
-            pending = _pend_moved(pending, masks, nbr, c1, stride, w, old, new)
+            if not masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO]:
+                return trace  # every label is final: no rule has a target
+            if rule != _NPD:  # an NPD relabel enables nothing
+                pending = _pend_moved(pending, masks, nbr, c1, stride, w,
+                                      old, new)
     return trace
 
 

@@ -529,6 +529,22 @@ def test_gen_parameters_in_ascii_decimal(capsys, param):
     assert out == "" and "not in ASCII decimal" in err
 
 
+@pytest.mark.parametrize("p", ["\uff10.\uff15", "0_5e-1", "+0.5"])
+def test_gen_probability_in_ascii_decimal(capsys, p):
+    # float() reads each form; gen's probability, like its integers, does not
+    assert main(["gen", "random", "4", p, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not in ASCII decimal" in err
+
+
+def test_gen_probability_forms_that_still_run(capsys):
+    for p in ("0.2", "1e-1", "1"):
+        assert main(["gen", "random", "4", p, "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith("4 ")
+    assert main(["gen", "random", "4", "nan"]) == 2
+    assert "edge probability must be in [0, 1]" in capsys.readouterr().err
+
+
 def test_gen_seed_in_ascii_decimal(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "random", "4", "0.5", "--seed", "\uff13"])

@@ -337,9 +337,9 @@ def test_reduction_steps_golden(monkeypatch, g, count, digest):
 
 
 @pytest.mark.parametrize("g, expected", [
-    (gen_c5_copies(3), (4096, 935, 215, 4469, 241, 1941)),
-    (gen_cycle(14), (1492, 466, 210, 1656, 198, 1136)),
-    (gen_random(12, 0.2, 7), (159, 134, 28, 411, 95, 210)),
+    (gen_c5_copies(3), (4092, 935, 215, 4469, 241, 1807)),
+    (gen_cycle(14), (1491, 466, 210, 1656, 198, 1091)),
+    (gen_random(12, 0.2, 7), (146, 134, 28, 407, 87, 209)),
 ], ids=["c5pow3", "cycle14", "random12"])
 def test_rule_tests_golden(monkeypatch, g, expected):
     # pins how often each rule is tested, in the order LPN, V0, V2, NPD,
@@ -590,6 +590,59 @@ def test_pend_sites_cover_what_a_relabel_enables(monkeypatch, catalog6):
         enumerate_minimal_rdf_refined(g, lambda f: None)
     # V2 never newly applies in a pass: its targets only shrink
     assert set(checked) == set(enum_refined._RULES) - {"V2"}
+
+
+def _some_random_graphs(seed):
+    rng = random.Random(seed)
+    return [gen_random(rng.randint(1, 10), rng.choice((0.15, 0.25, 0.4)),
+                       rng.randrange(10**6)) for _ in range(8)]
+
+
+def test_passes_end_at_a_final_labelling(monkeypatch, catalog6):
+    # once no vertex is active, not-1 or not-2, no rule has a target, so a
+    # pass neither tests a rule nor pends after its last non-final label
+    seen = Counter()
+
+    def watched(name, call):
+        def wrapper(*args):
+            masks = args[1]  # of a rule test and of _pend_moved alike
+            assert masks[ACTIVE] | masks[NOT_ONE] | masks[NOT_TWO], (
+                name, args)
+            seen[name] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(enum_refined, "_TESTS", tuple(
+        watched(rule, test)
+        for rule, test in zip(enum_refined._RULES, enum_refined._TESTS)))
+    monkeypatch.setattr(enum_refined, "_pend_moved",
+                        watched("pend", enum_refined._pend_moved))
+    for g in catalog6 + _some_random_graphs(47):
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert set(seen) == set(enum_refined._RULES) | {"pend"}
+
+
+def test_npd_steps_enable_nothing(monkeypatch, catalog6):
+    # _pend_moved is not called for an NPD relabel (not-2 -> 1): no
+    # (rule, x) pair applies after one that did not apply before it
+    npd_steps = []
+
+    def replaying(grdf, branch):
+        labels = list(grdf.labels)
+        trace = apply_reductions(grdf, branch)
+        for rule, w, _old, new in trace.steps:
+            before = list(labels)
+            labels[w] = new
+            if rule == "NPD":
+                assert not (_applicable(g.adj, labels)
+                            - _applicable(g.adj, before)), (w, before)
+                npd_steps.append(w)
+        return trace
+
+    monkeypatch.setattr(enum_refined, "apply_reductions", replaying)
+    for g in catalog6 + _some_random_graphs(53):
+        enumerate_minimal_rdf_refined(g, lambda f: None)
+    assert npd_steps
 
 
 def test_refined_star_is_fast():
